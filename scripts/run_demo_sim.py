@@ -7,7 +7,6 @@ closed-loop sanity configuration (noiseless links and generators).
 """
 import argparse
 import math
-import time
 
 from semcom import codec, forest, simulate, synthdata
 from semcom.config import SimConfig
@@ -31,10 +30,11 @@ def main():
     print("training video codec (this is the slow part)...")
     segments, labels = synthdata.make_codec_dataset(args.per_class, seed=0)
     model = codec.CodecModel(seed=args.seed)
-    t0 = time.perf_counter()
     history = codec.train(model, segments, labels,
                           math.inf if args.noiseless else args.snr)
-    print(f"trained in {time.perf_counter() - t0:.0f}s; "
+    for stats in history:
+        print(f"  {stats.summary()}")
+    print(f"trained in {sum(h.wall_s for h in history):.0f}s; "
           f"final train accuracy {history[-1].accuracy:.3f}")
 
     cfg = SimConfig(
@@ -49,7 +49,8 @@ def main():
     report = simulate.run_simulation(cfg, model, posture_forest)
 
     print(f"\nevents: {report.n_events}   uploads: {report.uploads} "
-          f"(background: {report.background_uploads})")
+          f"(background: {report.background_uploads}, "
+          f"skipped: {report.skipped_uploads})")
     print(f"posture accuracy: settled {report.posture['settled_accuracy']}, "
           f"raw {report.posture['raw_accuracy']:.3f}")
     print(f"activity accuracy: {report.activity_accuracy}")

@@ -10,7 +10,6 @@ Example:
         --snr-test 7 13 19 25 --out snr_sweep.csv
 """
 import argparse
-import time
 
 import numpy as np
 
@@ -37,10 +36,11 @@ def main():
     rows = []
     for snr_train in args.snr_train:
         model = codec.CodecModel(seed=args.model_seed)
-        t0 = time.perf_counter()
         history = codec.train(model, train_segments, train_labels, snr_train)
+        for stats in history:
+            print(f"  {stats.summary()}")
         print(f"snr_train={snr_train}: trained {len(history)} epochs in "
-              f"{time.perf_counter() - t0:.0f}s, final train accuracy "
+              f"{sum(h.wall_s for h in history):.0f}s, final train accuracy "
               f"{history[-1].accuracy:.3f}")
         for snr_test in args.snr_test:
             accs = [codec.evaluate(model, test_segments, test_labels,

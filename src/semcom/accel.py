@@ -191,18 +191,27 @@ class GravityFilter:
             chunk = chunk[:, None] if self.n_axes == 1 else chunk[None, :]
         if chunk.shape[1] != self.n_axes:
             raise ValueError(f"expected {self.n_axes} axes, got {chunk.shape[1]}")
-        if self._z1 is None and chunk.shape[0] > 0:
-            self._warm_start(chunk[0])
         out = np.empty_like(chunk)
-        b, a = self.b, self.a
-        z1, z2 = self._z1, self._z2
-        for i in range(chunk.shape[0]):
-            x = chunk[i]
-            y = b[0] * x + z1
-            z1 = b[1] * x - a[1] * y + z2
-            z2 = b[2] * x - a[2] * y
-            out[i] = y
-        self._z1, self._z2 = z1, z2
+        if chunk.shape[0] == 0:
+            return out
+        if self._z1 is None:
+            self._warm_start(chunk[0])
+        # one axis at a time on Python floats: the same IEEE operations in
+        # the same order as the vector recurrence, without per-sample numpy
+        b0, b1, b2 = (float(v) for v in self.b)
+        a1, a2 = float(self.a[1]), float(self.a[2])
+        z1s, z2s = self._z1.tolist(), self._z2.tolist()
+        for axis, xs in enumerate(chunk.T.tolist()):
+            z1, z2 = z1s[axis], z2s[axis]
+            ys = []
+            for x in xs:
+                y = b0 * x + z1
+                z1 = b1 * x - a1 * y + z2
+                z2 = b2 * x - a2 * y
+                ys.append(y)
+            out[:, axis] = ys
+            z1s[axis], z2s[axis] = z1, z2
+        self._z1, self._z2 = np.array(z1s), np.array(z2s)
         return out
 
 

@@ -59,8 +59,7 @@ def _cmd_train_codec(args):
                             noise_seed=args.seed + 2)
     history = codec.train(model, segments, labels, args.snr_train, cfg)
     for stats in history:
-        print(f"epoch {stats.epoch}: lr {stats.lr:.6g} "
-              f"loss {stats.loss:.4f} accuracy {stats.accuracy:.3f}")
+        print(stats.summary())
     codec.save_model(args.out, model)
     print(f"saved codec model to {args.out}")
     return 0
@@ -125,6 +124,7 @@ def _cmd_simulate(args):
         for line in report.event_lines:
             fh.write(line + "\n")
     print(f"events: {report.n_events}  uploads: {report.uploads}  "
+          f"skipped uploads: {report.skipped_uploads}  "
           f"posture accuracy (settled): {report.posture['settled_accuracy']}  "
           f"activity accuracy: {report.activity_accuracy}")
     print(f"wrote {cfg.out_report} and {cfg.out_events}")

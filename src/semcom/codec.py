@@ -1,9 +1,12 @@
 """Joint semantic/channel video codec and activity classifier.
 
 Encoder (camera side): conv3d(3->4, k3, pad 1) -> ReLU -> maxpool (3,5,5)
-stride (3,5,5), producing a 4x5x22x22 feature that is reshaped row-major
-into 4,840 complex symbols (even elements real, odd elements imaginary)
-and power-normalized to unit average symbol power.
+stride (3,5,5), run as one fused layer (:class:`tensor.ConvReLUPool3d`)
+that convolves only the 15x110x110 extent the pool reads and
+back-propagates only through the pool winners. It produces a 4x5x22x22
+feature that is reshaped row-major into 4,840 complex symbols (even
+elements real, odd elements imaginary) and power-normalized to unit
+average symbol power.
 
 Decoder (server side): de-normalize -> reshape -> three conv3d(k3, pad 1)
 + ReLU stages with two (2,2,2)/(2,2,2) max-pools between them -> deep
@@ -17,15 +20,17 @@ float32 grid after every update so checkpoints round-trip bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
 from . import weights_io
 from .channel import SymbolFrame, gaussian_noise
-from .tensor import (Conv3d, Linear, MaxPool3d, ReLU, ShapeError, Tape,
-                     lr_schedule, sgd_step, softmax_cross_entropy)
+from .tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, ReLU,
+                     ShapeError, Tape, lr_schedule, sgd_step,
+                     softmax_cross_entropy)
 
 SEGMENT_FRAMES = 16
 FRAME_HEIGHT = 112
@@ -113,9 +118,8 @@ class CodecModel:
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
         self.seed = seed
-        self.enc_conv = Conv3d(3, 4, (3, 3, 3), (1, 1, 1), rng)
-        self.enc_relu = ReLU()
-        self.enc_pool = MaxPool3d((3, 5, 5), (3, 5, 5))
+        self.enc_conv = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1),
+                                       (3, 5, 5), (3, 5, 5), rng)
         self.dec_conv1 = Conv3d(4, 8, (3, 3, 3), (1, 1, 1), rng)
         self.dec_relu1 = ReLU()
         self.dec_pool1 = MaxPool3d((2, 2, 2), (2, 2, 2))
@@ -165,10 +169,7 @@ def power_normalize(flat):
 def encode(model, segment, tape=None):
     """Segment -> power-normalized SymbolFrame of 4,840 complex symbols."""
     x = segment.frames if isinstance(segment, VideoSegment) else np.asarray(segment)
-    h = model.enc_conv.forward(x, tape)
-    h = model.enc_relu.forward(h, tape)
-    k = model.enc_pool.forward(h, tape)
-    flat = k.reshape(-1)
+    flat = model.enc_conv.forward(x, tape).reshape(-1)
     s, sigma = power_normalize(flat)
     if tape is not None:
         tape.put("power_norm", (s.copy(), sigma))
@@ -243,10 +244,7 @@ def _backward(model, grad_logits, tape):
     grad_flat = (grad_received / sigma
                  - s * (float(np.dot(grad_received, s)) / (L * sigma))
                  + grad_sigma * s / L)
-    g = grad_flat.reshape(FEATURE_SHAPE)
-    g = model.enc_pool.backward(g, tape)
-    g = model.enc_relu.backward(g, tape)
-    model.enc_conv.backward(g, tape, need_input_grad=False)
+    model.enc_conv.backward(grad_flat.reshape(FEATURE_SHAPE), tape)
 
 
 def sample_gradients(model, segment, label, snr_db, noise_rng):
@@ -290,6 +288,13 @@ class EpochStats:
     loss: float
     accuracy: float
     steps: int
+    # seconds of wall time (time.perf_counter); varies run to run, so it
+    # takes no part in equality
+    wall_s: float = field(compare=False)
+
+    def summary(self):
+        return (f"epoch {self.epoch}: lr {self.lr:.6g} loss {self.loss:.4f} "
+                f"accuracy {self.accuracy:.3f} wall {self.wall_s:.1f}s")
 
 
 def train(model, segments, labels, snr_train_db, config=None):
@@ -311,6 +316,7 @@ def train(model, segments, labels, snr_train_db, config=None):
     params = model.params()
     history = []
     for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
         lr = lr_schedule(epoch, config.base_lr, config.lr_divisor, config.lr_every)
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
@@ -334,7 +340,8 @@ def train(model, segments, labels, snr_train_db, config=None):
             model.quantize_params_f32()
             steps += 1
         history.append(EpochStats(epoch, lr, epoch_loss / len(order),
-                                  epoch_correct / len(order), steps))
+                                  epoch_correct / len(order), steps,
+                                  time.perf_counter() - epoch_start))
     model.epochs_trained += config.epochs
     model.snr_train_db = snr_train_db
     return history

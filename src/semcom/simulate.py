@@ -7,7 +7,9 @@ feeds the windowed cosine feature to the posture forest and transmission
 controller. A validated postural transition dispatches upload commands;
 every commanded camera uploads the current segment from its stride-16
 grid through the video channel, and the decoded classification is
-recorded against ground truth.
+recorded against ground truth. An upload whose 16 frames would run past
+the end of the scenario is skipped: it is counted in ``skipped_uploads``
+and not billed to N_t.
 
 The Table-3-style activity matrix counts only uploads from the room where
 the activity truly occurred (idle rooms film background, which has no
@@ -55,9 +57,10 @@ class SimReport:
     background_uploads: int
     clamped_samples: int
     event_lines: list
+    skipped_uploads: int
 
     def to_dict(self):
-        return {
+        out = {
             "overhead": self.overhead,
             "posture": self.posture,
             "activity_table": self.activity_table,
@@ -68,6 +71,10 @@ class SimReport:
             "clamped_samples": self.clamped_samples,
             "events": self.event_lines,
         }
+        # only runs that skip show the key, so other reports keep their bytes
+        if self.skipped_uploads:
+            out["skipped_uploads"] = self.skipped_uploads
+        return out
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -109,6 +116,7 @@ def run_simulation(cfg, codec_model, forest):
 
     posture_pred = []
     uploads = []
+    skipped = 0
     event_lines = []
     for sec, frame in enumerate(frames):
         noisy = accel_channel.send(frame)
@@ -125,9 +133,13 @@ def run_simulation(cfg, codec_model, forest):
         event_lines.append(format_event(event))
         for command in commands:
             base_grid = (command.t * FPS) // SEGMENT_FRAMES
+            camera = cameras[command.camera]
             for k in range(command.segments):
                 grid = base_grid + k
-                camera = cameras[command.camera]
+                if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
+                    skipped += 1
+                    ledger.n_t -= 1
+                    continue
                 segment = camera.segment_at_grid(grid)
                 sent = video_channel.send(encode(codec_model, segment))
                 logits, _ = decode(codec_model, sent)
@@ -181,4 +193,5 @@ def run_simulation(cfg, codec_model, forest):
         background_uploads=background,
         clamped_samples=clamped,
         event_lines=event_lines,
+        skipped_uploads=skipped,
     )

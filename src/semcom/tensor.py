@@ -1,6 +1,11 @@
 """Minimal dense-tensor kernel: 3D conv/pool/linear layers with exact backward
 passes, plain SGD, and a finite-difference gradient checker.
 
+:class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
+it convolves only the extent the pool reads and forms the weight gradient
+from the pool winners' input patches alone, with outputs equal to the
+three separate layers.
+
 All arrays are C-contiguous float64 ndarrays. Layers hold parameters only;
 per-call activations live on an explicit :class:`Tape`, so inference with
 ``tape=None`` is a pure function and a shared model is safe to use from
@@ -107,12 +112,14 @@ class Conv3d:
                     f"conv3d axis '{AXIS_NAMES[1 + i]}': padded extent "
                     f"{x.shape[1 + i] + 2 * self.padding[i]} < kernel {self.kernel[i]}")
 
-    def forward(self, x, tape=None):
-        self._check_input(x)
-        kd, kh, kw = self.kernel
+    def _pad(self, x):
         pd, ph, pw = self.padding
-        xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-        do, ho, wo = conv3d_output_shape(x.shape[1:], self.kernel, self.padding)
+        return np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
+
+    def _correlate(self, xp, extent):
+        """Outputs over the leading (D', H', W') = extent of the padded input."""
+        kd, kh, kw = self.kernel
+        do, ho, wo = extent
         out = np.zeros((self.out_channels, do, ho, wo))
         flat = out.reshape(self.out_channels, -1)
         for i in range(kd):
@@ -121,6 +128,13 @@ class Conv3d:
                     window = xp[:, i:i + do, j:j + ho, k:k + wo].reshape(self.in_channels, -1)
                     flat += self.weights[:, :, i, j, k] @ window
         out += self.bias[:, None, None, None]
+        return out
+
+    def forward(self, x, tape=None):
+        self._check_input(x)
+        xp = self._pad(x)
+        out = self._correlate(
+            xp, conv3d_output_shape(x.shape[1:], self.kernel, self.padding))
         if tape is not None:
             tape.put(self, (xp, x.shape))
         return out
@@ -154,6 +168,29 @@ class Conv3d:
         return grad_xp[:, pd:pd + d, ph:ph + h, pw:pw + w]
 
 
+def _pool_max(x, kernel, stride):
+    """(flat windows, argmax, max) of floor-mode pooling over (C,D,H,W).
+
+    Windows are flattened row-major over (kd,kh,kw), so argmax ties go to
+    the lowest flat input index inside the window.
+    """
+    sd, sh, sw = stride
+    view = sliding_window_view(x, kernel, axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
+    flat_windows = view.reshape(view.shape[:4] + (-1,))
+    argmax = flat_windows.argmax(axis=-1)
+    out = np.take_along_axis(flat_windows, argmax[..., None], axis=-1)[..., 0]
+    return flat_windows, argmax, out
+
+
+def _argmax_coords(argmax, kernel, stride):
+    """(c, d, h, w) input index arrays of each pooling window's argmax."""
+    kd, kh, kw = kernel
+    sd, sh, sw = stride
+    ci, di, hi, wi = np.indices(argmax.shape)
+    return (ci, di * sd + argmax // (kh * kw), hi * sh + (argmax // kw) % kh,
+            wi * sw + argmax % kw)
+
+
 class MaxPool3d:
     """Floor-mode 3D max pooling; argmax indices are kept for backward.
 
@@ -177,14 +214,8 @@ class MaxPool3d:
                 raise ShapeError(
                     f"maxpool3d axis '{AXIS_NAMES[1 + i]}': extent {x.shape[1 + i]} "
                     f"< kernel {self.kernel[i]}")
-        sd, sh, sw = self.stride
-        view = sliding_window_view(x, self.kernel, axis=(1, 2, 3))
-        view = view[:, ::sd, ::sh, ::sw]
-        out_shape = view.shape[:4]
-        flat_windows = view.reshape(out_shape + (-1,))
-        # row-major argmax over (kd,kh,kw) == lowest flat input index on ties
-        argmax = flat_windows.argmax(axis=-1)
-        out = np.take_along_axis(flat_windows, argmax[..., None], axis=-1)[..., 0]
+        _, argmax, out = _pool_max(x, self.kernel, self.stride)
+        out_shape = argmax.shape
         if tape is not None:
             tape.put(self, (argmax, out_shape, x.shape))
         return np.ascontiguousarray(out)
@@ -197,15 +228,72 @@ class MaxPool3d:
         tape.set_grads(self, [])
         if not need_input_grad:
             return None
-        kd, kh, kw = self.kernel
-        sd, sh, sw = self.stride
-        ci, di, hi, wi = np.indices(out_shape)
-        i = argmax // (kh * kw)
-        j = (argmax // kw) % kh
-        k = argmax % kw
         grad = np.zeros(x_shape)
-        np.add.at(grad, (ci, di * sd + i, hi * sh + j, wi * sw + k), upstream)
+        np.add.at(grad, _argmax_coords(argmax, self.kernel, self.stride), upstream)
         return grad
+
+
+class ConvReLUPool3d(Conv3d):
+    """Conv3d -> ReLU -> MaxPool3d fused into one input layer.
+
+    Parameters, initialization and input checks are those of
+    :class:`Conv3d`, and the output is that of the three layers in a row.
+    The convolution runs only over the extent the pool reads (floor mode
+    drops the trailing remainder), and the pool takes its window maximum
+    before the ReLU (relu(max) == max(relu)), with the same tie rule as
+    :class:`MaxPool3d`. Backward routes each live window's gradient to the
+    input patch under its argmax, so the weight gradient costs one patch
+    per pooled output instead of a pass over every conv output. There is
+    no input gradient: the layer must come first in a network.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel, padding, pool_kernel,
+                 pool_stride, rng=None):
+        super().__init__(in_channels, out_channels, kernel, padding, rng)
+        self.pool_kernel = tuple(pool_kernel)
+        self.pool_stride = tuple(pool_stride)
+        if any(k < 1 for k in self.pool_kernel) or any(s < 1 for s in self.pool_stride):
+            raise ValueError("pool kernel and stride entries must be >= 1")
+
+    def forward(self, x, tape=None):
+        self._check_input(x)
+        conv_shape = conv3d_output_shape(x.shape[1:], self.kernel, self.padding)
+        for i in range(3):
+            if conv_shape[i] < self.pool_kernel[i]:
+                raise ShapeError(
+                    f"conv_relu_pool3d axis '{AXIS_NAMES[1 + i]}': conv extent "
+                    f"{conv_shape[i]} < pool kernel {self.pool_kernel[i]}")
+        pooled = pool3d_output_shape(conv_shape, self.pool_kernel, self.pool_stride)
+        read = tuple((pooled[i] - 1) * self.pool_stride[i] + self.pool_kernel[i]
+                     for i in range(3))
+        xp = self._pad(x)
+        windows, argmax, best = _pool_max(self._correlate(xp, read),
+                                          self.pool_kernel, self.pool_stride)
+        live = best > 0
+        # a dead window pools ReLU zeros and keeps its first, whose sign of
+        # zero follows the first conv output
+        out = np.where(live, best, windows[..., 0] * 0.0)
+        if tape is not None:
+            tape.put(self, (xp, argmax, live))
+        return out
+
+    def backward(self, upstream, tape, need_input_grad=False):
+        if need_input_grad:
+            raise ValueError("conv_relu_pool3d is an input layer: no input gradient")
+        xp, argmax, live = tape.take(self)
+        if upstream.shape != argmax.shape:
+            raise ShapeError(
+                f"conv_relu_pool3d upstream shape {upstream.shape} != output "
+                f"shape {argmax.shape}")
+        _, d, h, w = _argmax_coords(argmax, self.pool_kernel, self.pool_stride)
+        # patches[f, ..., c, i, j, k] = xp[c, d + i, h + j, w + k] at f's argmax
+        patches = sliding_window_view(xp, self.kernel, axis=(1, 2, 3))
+        patches = patches.transpose(1, 2, 3, 0, 4, 5, 6)[d, h, w]
+        g = (upstream * live).reshape(self.out_channels, 1, -1)
+        grad_w = g @ patches.reshape(self.out_channels, g.shape[2], -1)
+        tape.set_grads(self, [grad_w.reshape(self.weights.shape),
+                              g.sum(axis=(1, 2))])
+        return None
 
 
 class ReLU:

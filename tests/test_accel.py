@@ -161,6 +161,50 @@ class TestGravityFilterDesign:
         chunks = np.vstack([filt.process(xyz[i:i + 50]) for i in range(0, 400, 50)])
         np.testing.assert_allclose(one, chunks, atol=1e-12)
 
+    @staticmethod
+    def vector_recurrence(filt, chunk):
+        """The filter's earlier per-sample numpy loop, kept verbatim as the
+        bit-exact oracle for the per-axis Python-float loop."""
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim == 1:
+            chunk = chunk[:, None] if filt.n_axes == 1 else chunk[None, :]
+        if filt._z1 is None and chunk.shape[0] > 0:
+            filt._warm_start(chunk[0])
+        out = np.empty_like(chunk)
+        b, a = filt.b, filt.a
+        z1, z2 = filt._z1, filt._z2
+        for i in range(chunk.shape[0]):
+            x = chunk[i]
+            y = b[0] * x + z1
+            z1 = b[1] * x - a[1] * y + z2
+            z2 = b[2] * x - a[2] * y
+            out[i] = y
+        filt._z1, filt._z2 = z1, z2
+        return out
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
+    def test_process_bitwise_equals_vector_recurrence(self, seed, n_axes):
+        rng = np.random.default_rng(seed)
+        filt, oracle = GravityFilter(n_axes=n_axes), GravityFilter(n_axes=n_axes)
+        sizes = [0] + rng.integers(0, 60, 12).tolist()   # empty chunk first
+        for n in sizes:
+            chunk = rng.normal(0.0, 1.5, (n, n_axes))
+            if n_axes == 1 and rng.integers(2):
+                chunk = chunk[:, 0]                      # 1-D input
+            got = filt.process(chunk)
+            want = self.vector_recurrence(oracle, chunk)
+            assert got.tobytes() == want.tobytes()
+            if oracle._z1 is None:
+                assert filt._z1 is None
+            else:
+                assert filt._z1.tobytes() == oracle._z1.tobytes()
+                assert filt._z2.tobytes() == oracle._z2.tobytes()
+
+    def test_process_rejects_wrong_axis_count(self):
+        with pytest.raises(ValueError, match="expected 3 axes"):
+            GravityFilter().process(np.zeros((5, 2)))
+
     def test_lowpass_gravity_matches_scipy_lfilter(self):
         rng = np.random.default_rng(6)
         xyz = rng.standard_normal((500, 3))

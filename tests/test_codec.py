@@ -1,7 +1,9 @@
 """Video codec tests: shape chain, reshape bijection, loopback identity,
 training bookkeeping, and a finite-difference oracle over the full
 encoder/channel/decoder gradient path."""
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,27 @@ from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           evaluate, forward_logits, load_model,
                           parse_activity, power_normalize, sample_gradients,
                           sample_segments, save_model, segment_count, train)
-from semcom.tensor import softmax_cross_entropy
+from semcom.synthdata import make_codec_dataset
+from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU,
+                           softmax_cross_entropy)
 from semcom.weights_io import (ContainerFormatError, ContainerTruncatedError)
+
+
+CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "codec_checkpoint.semw"
+
+
+def with_reference_encoder(model):
+    """Shallow copy of model whose encoder is the unfused Conv3d -> ReLU ->
+    MaxPool3d trio carrying the same weights."""
+    fused = model.enc_conv
+    conv = Conv3d(fused.in_channels, fused.out_channels, fused.kernel,
+                  fused.padding)
+    conv.weights[...] = fused.weights
+    conv.bias[...] = fused.bias
+    reference = copy.copy(model)
+    reference.enc_conv = Network(
+        [conv, ReLU(), MaxPool3d(fused.pool_kernel, fused.pool_stride)])
+    return reference
 
 
 def random_segment(seed, scale=1.0):
@@ -81,12 +102,22 @@ class TestEncode:
         flat = np.empty(2 * SYMBOLS_PER_SEGMENT)
         flat[0::2] = tape_frame.symbols.real
         flat[1::2] = tape_frame.symbols.imag
-        feature = flat.reshape(FEATURE_SHAPE) * tape_frame.scale
-        # reference: direct encoder forward
-        h = model.enc_conv.forward(segment.frames)
-        h = model.enc_relu.forward(h)
-        expected = model.enc_pool.forward(h)
-        np.testing.assert_allclose(feature, expected, rtol=1e-12, atol=1e-15)
+        # reference: the unfused encoder with the model's weights
+        feature = with_reference_encoder(model).enc_conv.forward(segment.frames)
+        expected, sigma = power_normalize(feature.reshape(-1))
+        assert tape_frame.scale == sigma
+        np.testing.assert_array_equal(flat.reshape(FEATURE_SHAPE),
+                                      expected.reshape(FEATURE_SHAPE))
+
+    def test_checkpoint_frames_equal_reference_encoder(self):
+        model = load_model(CHECKPOINT)
+        reference = with_reference_encoder(model)
+        segments, _ = make_codec_dataset(1, seed=7)
+        for segment in segments[:3]:
+            got = encode(model, segment)
+            want = encode(reference, segment)
+            assert got.scale == want.scale
+            assert got.symbols.tobytes() == want.symbols.tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

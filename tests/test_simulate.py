@@ -101,6 +101,27 @@ class TestRunSimulation:
                 for r in report.overhead["rows"]}
         assert rows["HAR-SC-TC"] == 4840 * 36 == 174_240
 
+    def test_uploads_past_scenario_end_are_skipped(self, posture_forest,
+                                                   untrained_codec):
+        """Eight segments per ACK run past the 700-frame end of this
+        scenario: those uploads are skipped and not billed to N_t."""
+        cfg = small_config(scenario="sleeping:5,resting:5", segments_per_ack=8)
+        report = run_simulation(cfg, untrained_codec, posture_forest)
+        assert report.n_events >= 1
+        assert report.skipped_uploads > 0
+        assert report.uploads == report.overhead["N_t"]
+        assert (report.overhead["N_t"] + report.skipped_uploads
+                == report.n_events * 3 * 8)
+        assert report.to_dict()["skipped_uploads"] == report.skipped_uploads
+        assert run_simulation(cfg, untrained_codec,
+                              posture_forest).to_json() == report.to_json()
+
+    def test_report_without_skips_has_no_skip_key(self, posture_forest,
+                                                  untrained_codec):
+        report = run_simulation(small_config(), untrained_codec, posture_forest)
+        assert report.skipped_uploads == 0
+        assert "skipped_uploads" not in report.to_dict()
+
 
 class TestConfig:
     def test_parse_round_trip(self):

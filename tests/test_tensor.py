@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.tensor import (Conv3d, Linear, MaxPool3d, Network, ReLU, Reshape,
-                           ShapeError, StateError, Tape, conv3d_output_shape,
-                           grad_check, lr_schedule, pool3d_output_shape,
-                           sgd_step, softmax_cross_entropy)
+from semcom.tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
+                           ReLU, Reshape, ShapeError, StateError, Tape,
+                           conv3d_output_shape, grad_check, lr_schedule,
+                           pool3d_output_shape, sgd_step,
+                           softmax_cross_entropy)
 
 
 def brute_force_conv3d(x, w, b, pad):
@@ -238,6 +239,116 @@ class TestMaxPool3d:
         out = pool.forward(x, tape)
         grad = pool.backward(np.ones_like(out), tape)
         assert grad[0, 1, 1, 1] == 8.0
+
+
+def reference_trio(fused):
+    """Unfused Conv3d -> ReLU -> MaxPool3d carrying a fused layer's weights."""
+    conv = Conv3d(fused.in_channels, fused.out_channels, fused.kernel,
+                  fused.padding)
+    conv.weights[...] = fused.weights
+    conv.bias[...] = fused.bias
+    return Network([conv, ReLU(), MaxPool3d(fused.pool_kernel, fused.pool_stride)])
+
+
+def fused_and_trio_grads(fused, x, upstream):
+    """Weight and bias gradients of the fused layer and of its trio."""
+    trio = reference_trio(fused)
+    tape = Tape()
+    trio.forward(x, tape)
+    trio.backward(upstream, tape)
+    fused_tape = Tape()
+    fused.forward(x, fused_tape)
+    assert fused.backward(upstream, fused_tape) is None
+    return fused_tape.grads(fused), trio.grads(tape)[:2]
+
+
+def assert_grads_close(got, want, rtol=1e-12):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+class TestConvReLUPool3d:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_forward_equals_trio(self, data):
+        c = data.draw(st.integers(1, 3))
+        f = data.draw(st.integers(1, 3))
+        kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
+        pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        stride = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        dims = tuple(data.draw(st.integers(pool[i] + kernel[i] - 1, 8))
+                     for i in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fused = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+        fused.bias[...] = rng.normal(0.0, 0.3, f)
+        x = rng.standard_normal((c,) + dims)
+        out = fused.forward(x)
+        ref = reference_trio(fused).forward(x)
+        np.testing.assert_array_equal(out, ref)
+        assert out.tobytes() == ref.tobytes()   # signs of zero too
+
+    def test_codec_shapes_forward_equals_trio(self):
+        rng = np.random.default_rng(5)
+        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5), rng)
+        fused.bias[...] = [0.1, -0.2, 0.0, -0.05]
+        x = rng.uniform(0.0, 1.0, (3, 16, 112, 112))
+        out = fused.forward(x)
+        assert out.shape == (4, 5, 22, 22)
+        assert np.count_nonzero(out <= 0) > 0
+        np.testing.assert_array_equal(out, reference_trio(fused).forward(x))
+
+    def test_grads_match_trio_random(self):
+        rng = np.random.default_rng(21)
+        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), (2, 3, 3), rng)
+        x = rng.standard_normal((2, 6, 9, 9))
+        upstream = rng.standard_normal((3, 3, 3, 3))
+        assert_grads_close(*fused_and_trio_grads(fused, x, upstream))
+
+    def test_grads_match_trio_dead_windows_and_ties(self):
+        rng = np.random.default_rng(4)
+        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), (2, 3, 3), rng)
+        fused.weights[1] = np.abs(fused.weights[1])
+        fused.bias[...] = [0.0, -50.0, 0.25]     # channel 1: every window dead
+        x = rng.uniform(0.0, 1.0, (2, 6, 9, 9))
+        x[:, :3] = 0.0                          # zero region: exact ties
+        x[:, 3:, :4, :4] = 0.5                  # constant region: exact ties
+        tape = Tape()
+        out = fused.forward(x, tape)
+        assert np.all(out[1] == 0.0)
+        upstream = rng.standard_normal(out.shape)
+        got, want = fused_and_trio_grads(fused, x, upstream)
+        assert_grads_close(got, want)
+        assert np.all(got[0][1] == 0.0) and got[1][1] == 0.0
+
+    def test_grad_check_tiny_network(self):
+        rng = np.random.default_rng(3)
+        net = Network([
+            ConvReLUPool3d(2, 2, (3, 3, 3), (1, 1, 1), (2, 2, 2), (2, 2, 2), rng),
+            Reshape((-1,)),
+            Linear(2 * 2 * 3 * 3, 3, rng),
+        ])
+        x = rng.uniform(0.0, 1.0, (2, 4, 6, 6))
+        assert grad_check(net, x, np.eye(3)[1], epsilon=1e-5) < 1e-4
+
+    def test_input_smaller_than_pool_window(self):
+        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5),
+                               np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="axis 'depth'"):
+            fused.forward(np.zeros((3, 2, 112, 112)))
+        with pytest.raises(ShapeError, match="axis 'width'"):
+            fused.forward(np.zeros((3, 16, 112, 4)))
+        with pytest.raises(ShapeError, match="axis 'channels'"):
+            fused.forward(np.zeros((2, 16, 112, 112)))
+
+    def test_input_gradient_rejected(self):
+        rng = np.random.default_rng(0)
+        fused = ConvReLUPool3d(1, 1, (3, 3, 3), (1, 1, 1), (2, 2, 2), (2, 2, 2), rng)
+        tape = Tape()
+        out = fused.forward(rng.standard_normal((1, 4, 4, 4)), tape)
+        with pytest.raises(ValueError, match="input layer"):
+            fused.backward(np.ones_like(out), tape, need_input_grad=True)
 
 
 class TestLinearSoftmax:
