@@ -51,14 +51,6 @@ def parse_posture(name):
         raise ValueError(f"unknown posture {name!r}") from None
 
 
-@dataclass(frozen=True)
-class AccelSample:
-    """One timestamped 3-axis acceleration reading in g units."""
-
-    t: float
-    a: tuple
-
-
 @dataclass
 class AccelTrace:
     """A 50 Hz stream: t is (n,) seconds, xyz is (n, 3) in g units."""
@@ -80,10 +72,6 @@ class AccelTrace:
 
     def __len__(self):
         return self.t.size
-
-    def samples(self):
-        for i in range(self.t.size):
-            yield AccelSample(float(self.t[i]), tuple(self.xyz[i]))
 
 
 def quantize(values):
@@ -265,13 +253,6 @@ def gravity_feature(window):
         raise ValueError(f"window {window.index}: all columns degenerate")
     cosines = window.G[2, valid] / norms[valid]
     return GravityFeature(window.index, float(np.mean(cosines)), n_excluded)
-
-
-def features_from_trace(trace, filt=None):
-    """Convenience chain: low-pass -> windows -> features."""
-    filtered = lowpass_gravity(trace) if filt is None else AccelTrace(
-        trace.t.copy(), filt.process(trace.xyz))
-    return [gravity_feature(w) for w in make_windows(filtered)]
 
 
 def write_trace_csv(path, trace):

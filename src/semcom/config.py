@@ -18,7 +18,6 @@ class SimConfig:
     seed: int = 0
     video_snr_db: float = 25.0
     accel_snr_db: float = 25.0
-    stride: int = 16
     validation_windows: int = 3
     segments_per_ack: int = 1
     ack_targets: str = "broadcast"          # or comma-separated room names

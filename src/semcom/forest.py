@@ -142,9 +142,6 @@ class RandomForest:
                             minlength=self.n_classes)
         return Posture(int(np.argmax(votes)))
 
-    def predict_many(self, us):
-        return [self.predict(float(v)) for v in np.asarray(us, dtype=np.float64)]
-
 
 def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
                  seed=0):

@@ -2,9 +2,9 @@
 passes, plain SGD, and a finite-difference gradient checker.
 
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
-it convolves only the extent the pool reads and forms the weight gradient
-from the pool winners' input patches alone, with outputs equal to the
-three separate layers.
+it convolves only the extent the pool reads (at the codec's shapes) and
+forms the weight gradient from the pool winners' input patches alone, with
+outputs bitwise equal to the three separate layers.
 
 All arrays are C-contiguous float64 ndarrays. Layers hold parameters only;
 per-call activations live on an explicit :class:`Tape`, so inference with
@@ -237,10 +237,13 @@ class ConvReLUPool3d(Conv3d):
     """Conv3d -> ReLU -> MaxPool3d fused into one input layer.
 
     Parameters, initialization and input checks are those of
-    :class:`Conv3d`, and the output is that of the three layers in a row.
-    The convolution runs only over the extent the pool reads (floor mode
-    drops the trailing remainder), and the pool takes its window maximum
-    before the ReLU (relu(max) == max(relu)), with the same tie rule as
+    :class:`Conv3d`, and the output is bitwise that of the three layers in
+    a row. The convolution runs only over the extent the pool reads (floor
+    mode drops the trailing remainder) when the layer has two or more
+    output channels and the pool reads two or more positions; otherwise it
+    runs over Conv3d's full extent, because a matmul with a unit dimension
+    rounds differently. The pool takes its window maximum before the ReLU
+    (relu(max) == max(relu)), with the same tie rule as
     :class:`MaxPool3d`. Backward routes each live window's gradient to the
     input patch under its argmax, so the weight gradient costs one patch
     per pooled output instead of a pass over every conv output. There is
@@ -266,6 +269,12 @@ class ConvReLUPool3d(Conv3d):
         pooled = pool3d_output_shape(conv_shape, self.pool_kernel, self.pool_stride)
         read = tuple((pooled[i] - 1) * self.pool_stride[i] + self.pool_kernel[i]
                      for i in range(3))
+        if self.out_channels == 1 or np.prod(read) == 1:
+            # numpy sends a matmul with a unit dimension to gemv or dot, whose
+            # rounding differs from gemm's and, for gemv, moves with the column
+            # count; only two gemm calls agree column by column, so convolve
+            # Conv3d's full extent here to keep the output bitwise the trio's
+            read = conv_shape
         xp = self._pad(x)
         windows, argmax, best = _pool_max(self._correlate(xp, read),
                                           self.pool_kernel, self.pool_stride)

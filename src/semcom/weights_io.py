@@ -14,6 +14,8 @@ u16 width | frames as row-major 8-bit RGB.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,6 +44,12 @@ class ContainerTruncatedError(ContainerError):
 
 
 def _read_exact(fh, n, what):
+    # checked before reading, so a header declaring more bytes than the file
+    # holds fails without allocating the declared size
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise ContainerTruncatedError(
+            f"expected {n} bytes for {what}, got {max(remaining, 0)}")
     data = fh.read(n)
     if len(data) != n:
         raise ContainerTruncatedError(
@@ -88,8 +96,7 @@ def read_arrays(path):
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
             if any(d == 0 for d in dims):
                 raise ContainerFormatError(f"array {name!r} has zero dim {dims}")
-            n_elems = int(np.prod(dims))
-            payload = _read_exact(fh, 4 * n_elems, f"{name} payload")
+            payload = _read_exact(fh, 4 * math.prod(dims), f"{name} payload")
             arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
             out[name] = arr.reshape(dims)
         trailing = fh.read(1)

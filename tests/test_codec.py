@@ -1,7 +1,9 @@
 """Video codec tests: shape chain, reshape bijection, loopback identity,
-training bookkeeping, and a finite-difference oracle over the full
-encoder/channel/decoder gradient path."""
+training bookkeeping, evaluate's reuse of clean encodes, and a
+finite-difference oracle over the full encoder/channel/decoder gradient
+path."""
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcom import codec
 from semcom.channel import ChannelConfig, SymbolFrame, transmit
 from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           SYMBOLS_PER_SEGMENT, Activity, CodecModel,
@@ -282,6 +285,112 @@ class TestTraining:
         segments = [random_segment(40), random_segment(41)]
         acc = evaluate(model, segments, [0, 1], 25.0, noise_seed=1)
         assert 0.0 <= acc <= 1.0
+
+
+class TestEvaluateReuse:
+    SNRS = (math.inf, 25.0, 7.0)
+    NOISE_SEEDS = (0, 1)
+
+    @pytest.fixture
+    def segments(self):
+        return [random_segment(60 + k) for k in range(3)], [0, 3, 1]
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """Wrap codec.<name> so every call's arguments are logged."""
+        calls = []
+        original = getattr(codec, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(codec, name, recorded)
+        return calls
+
+    def sweep(self, model, segments, labels, cold=False):
+        """Accuracies over SNRS x NOISE_SEEDS; cold re-wraps the frames in
+        fresh segments for every call, so nothing is reused."""
+        accs = []
+        for snr in self.SNRS:
+            for seed in self.NOISE_SEEDS:
+                if cold:
+                    segments = [VideoSegment(s.index, s.frames)
+                                for s in segments]
+                accs.append(evaluate(model, segments, labels, snr,
+                                     noise_seed=seed))
+        return accs
+
+    def decoded(self, monkeypatch, model, segments, labels, cold=False):
+        calls = self.record(monkeypatch, "decode")
+        accs = self.sweep(model, segments, labels, cold)
+        monkeypatch.undo()
+        return accs, [(f.scale, f.symbols.tobytes()) for _, f in calls]
+
+    def test_warm_sweep_equals_cold_sweep(self, monkeypatch, segments):
+        model = CodecModel(seed=21)
+        warm = self.decoded(monkeypatch, model, *segments)
+        cold = self.decoded(monkeypatch, model, *segments, cold=True)
+        assert len(warm[1]) == len(self.SNRS) * len(self.NOISE_SEEDS) * 3
+        assert warm == cold
+
+    def test_each_segment_encoded_once_per_sweep(self, monkeypatch, segments):
+        encodes = self.record(monkeypatch, "encode")
+        self.sweep(CodecModel(seed=22), *segments)
+        assert len(encodes) == len(segments[0])
+
+    @pytest.mark.parametrize("change", ["in_place", "train_epoch"])
+    def test_encoder_change_re_encodes(self, monkeypatch, segments, change):
+        model = CodecModel(seed=23)
+        before = self.decoded(monkeypatch, model, *segments)
+        if change == "in_place":
+            model.enc_conv.weights[0, 0, 1, 1, 1] += 0.25
+        else:
+            train(model, *segments, 25.0, TrainConfig(epochs=1))
+        encodes = self.record(monkeypatch, "encode")
+        self.sweep(model, *segments)
+        assert len(encodes) == len(segments[0])
+        monkeypatch.undo()
+        warm = self.decoded(monkeypatch, model, *segments)
+        assert warm == self.decoded(monkeypatch, model, *segments, cold=True)
+        assert warm[1] != before[1]
+
+    def test_second_model_gets_its_own_encodes(self, monkeypatch, segments):
+        first, second = CodecModel(seed=24), CodecModel(seed=25)
+        first_warm = self.decoded(monkeypatch, first, *segments)
+        encodes = self.record(monkeypatch, "encode")
+        self.sweep(second, *segments)
+        assert len(encodes) == len(segments[0])
+        monkeypatch.undo()
+        second_warm = self.decoded(monkeypatch, second, *segments)
+        assert second_warm == self.decoded(monkeypatch, second, *segments,
+                                           cold=True)
+        # the slot now holds the second encoder's frames: the first misses,
+        # re-encodes and still decodes what it did before
+        assert self.decoded(monkeypatch, first, *segments) == first_warm
+
+    def test_zero_feature_at_finite_snr_rejected(self):
+        segment = VideoSegment(0, np.zeros((3, 16, 112, 112)))
+        model = CodecModel(seed=11)
+        assert encode(model, segment).scale == 0.0
+        assert evaluate(model, [segment], [0], math.inf) in (0.0, 1.0)
+        with pytest.raises(ValueError, match="all-zero frame at finite SNR"):
+            evaluate(model, [segment], [0], 25.0)
+
+
+class TestVideoSegmentImmutable:
+    def test_frames_read_only(self):
+        segment = random_segment(70)
+        with pytest.raises(ValueError, match="read-only"):
+            segment.frames[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            segment.frames = np.zeros((3, 16, 112, 112))
+
+    def test_caller_array_stays_writeable_and_apart(self):
+        frames = np.full((3, 16, 112, 112), 0.5)
+        segment = VideoSegment(0, frames)
+        assert frames.flags.writeable
+        frames[...] = 0.25
+        assert np.all(segment.frames == 0.5)
 
 
 class TestPersistence:

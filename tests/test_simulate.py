@@ -145,6 +145,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1")
 
+    def test_removed_stride_key_rejected(self):
+        # SimConfig.stride was read by nothing; uploads always use the
+        # stride-16 segmentation
+        with pytest.raises(ValueError, match="<config>:2: unknown key 'stride'"):
+            parse_config_text("seed = 1\nstride = 16")
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("not an assignment")

@@ -289,6 +289,24 @@ class TestConvReLUPool3d:
         np.testing.assert_array_equal(out, ref)
         assert out.tobytes() == ref.tobytes()   # signs of zero too
 
+    @pytest.mark.parametrize("c, f, kernel, pad, pool, stride, dims", [
+        # one output channel: each tap's matmul goes to gemv, whose rounding
+        # depends on the column count
+        (2, 1, (2, 2, 2), (0, 0, 0), (2, 2, 2), (3, 3, 3), (6, 7, 8)),
+        (2, 1, (1, 1, 2), (0, 0, 0), (1, 1, 1), (1, 2, 1), (1, 2, 2)),
+        # the pool reads one position: the cropped matmul has one column
+        (3, 2, (2, 2, 2), (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)),
+    ])
+    def test_forward_equals_trio_at_unit_matmul_dimensions(
+            self, c, f, kernel, pad, pool, stride, dims):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            fused = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+            fused.bias[...] = rng.normal(0.0, 0.3, f)
+            x = rng.standard_normal((c,) + dims)
+            ref = reference_trio(fused).forward(x)
+            assert fused.forward(x).tobytes() == ref.tobytes(), seed
+
     def test_codec_shapes_forward_equals_trio(self):
         rng = np.random.default_rng(5)
         fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5), rng)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from semcom import weights_io
 from semcom.weights_io import (SEMW_MAGIC, ContainerFormatError,
                                ContainerTruncatedError, ContainerVersionError,
                                read_arrays, read_frames, write_arrays,
@@ -12,6 +13,33 @@ from semcom.weights_io import (SEMW_MAGIC, ContainerFormatError,
 
 def f32_grid(arr):
     return np.asarray(arr).astype(np.float32).astype(np.float64)
+
+
+def record_reads(monkeypatch):
+    """Make weights_io open files through a wrapper that logs read sizes."""
+    reads = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def read(self, n=-1):
+            reads.append(n)
+            return self.fh.read(n)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(weights_io, "open",
+                        lambda *args, **kw: Recording(open(*args, **kw)),
+                        raising=False)
+    return reads
 
 
 @pytest.fixture
@@ -92,6 +120,18 @@ class TestSemwErrors:
         with pytest.raises(ContainerTruncatedError):
             read_arrays(path)
 
+    def test_huge_declared_dims_fail_before_reading(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "w.semw"
+        path.write_bytes(SEMW_MAGIC + struct.pack("<II", 1, 1)
+                         + struct.pack("<H", 1) + b"w" + struct.pack("<B", 3)
+                         + struct.pack("<3I", 65535, 65535, 65535)
+                         + b"\0" * 16)
+        reads = record_reads(monkeypatch)
+        with pytest.raises(ContainerTruncatedError, match="w payload"):
+            read_arrays(path)
+        assert max(reads) <= path.stat().st_size
+
     def test_trailing_garbage(self, tmp_path, sample_arrays):
         path = tmp_path / "w.semw"
         write_arrays(path, sample_arrays)
@@ -126,6 +166,16 @@ class TestSemf:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ContainerTruncatedError):
             read_frames(path)
+
+    def test_huge_declared_frames_fail_before_reading(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "v.semf"
+        path.write_bytes(b"SEMF" + struct.pack("<IIHH", 1, 2**32 - 1, 65535, 65535)
+                         + b"\0" * 24)
+        reads = record_reads(monkeypatch)
+        with pytest.raises(ContainerTruncatedError, match="frame payload"):
+            read_frames(path)
+        assert max(reads) <= path.stat().st_size
 
     def test_dtype_validation(self, tmp_path):
         with pytest.raises(ValueError, match="uint8"):
