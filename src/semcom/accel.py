@@ -203,12 +203,6 @@ class GravityFilter:
         return out
 
 
-def lowpass_gravity(trace):
-    """Gravity estimate: 0.3 Hz low-pass applied independently per axis."""
-    filt = GravityFilter()
-    return AccelTrace(trace.t.copy(), filt.process(trace.xyz))
-
-
 @dataclass
 class AccelWindow:
     """One second of gravity-filtered samples as a 3x50 matrix."""

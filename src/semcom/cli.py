@@ -127,6 +127,17 @@ def _cmd_simulate(args):
           f"skipped uploads: {report.skipped_uploads}  "
           f"posture accuracy (settled): {report.posture['settled_accuracy']}  "
           f"activity accuracy: {report.activity_accuracy}")
+    print("detections (count, accuracy) by activity x room:")
+    for activity, rooms in report.activity_table.items():
+        cells = []
+        for room in synthdata.ROOMS:
+            cell = rooms[room]
+            if cell["count"]:
+                cells.append(f"{room}: {cell['count']} "
+                             f"({100.0 * cell['correct'] / cell['count']:.0f}%)")
+            else:
+                cells.append(f"{room}: 0")
+        print(f"  {activity:<10} {'  '.join(cells)}")
     print(f"wrote {cfg.out_report} and {cfg.out_events}")
     return 0
 

@@ -12,10 +12,13 @@ Decoder (server side): de-normalize -> reshape -> three conv3d(k3, pad 1)
 + ReLU stages with two (2,2,2)/(2,2,2) max-pools between them -> deep
 feature 8x1x5x5 -> linear 200->5 logits.
 
-Training runs end to end through the AWGN channel with fresh noise per
-sample per step; the noise addition backpropagates as identity while the
-power normalization is differentiated exactly. Parameters are kept on the
-float32 grid after every update so checkpoints round-trip bitwise.
+Both halves are one layer graph (:meth:`CodecModel.graph`), power
+normalization and de-normalization included: forward runs it in order and
+backward, from the same graph, in reverse. Training runs end to end
+through the AWGN channel with fresh noise per sample per step; the noise
+addition backpropagates as identity while the power normalization is
+differentiated exactly. Parameters are kept on the float32 grid after
+every update so checkpoints round-trip bitwise.
 
 Evaluation encodes each clean segment once per set of encoder weights: a
 ``VideoSegment`` is immutable (its ``frames`` array is read-only), so
@@ -34,8 +37,8 @@ import numpy as np
 
 from . import channel, weights_io
 from .channel import SymbolFrame, gaussian_noise
-from .tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, ReLU,
-                     ShapeError, Tape, lr_schedule, sgd_step,
+from .tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
+                     ReLU, Reshape, ShapeError, Tape, lr_schedule, sgd_step,
                      softmax_cross_entropy)
 
 SEGMENT_FRAMES = 16
@@ -128,8 +131,82 @@ def sample_segments(frames, stride=DEFAULT_STRIDE):
     ]
 
 
+def power_normalize(flat):
+    """Scale a flat feature to unit average symbol power.
+
+    sigma is the RMS symbol amplitude sqrt(sum(flat^2)/L); an all-zero
+    feature skips normalization and reports scale 0.
+    """
+    sigma = math.sqrt(float(np.dot(flat, flat)) / SYMBOLS_PER_SEGMENT)
+    if sigma == 0.0:
+        return flat.copy(), 0.0
+    return flat / sigma, sigma
+
+
+class PowerNorm:
+    """Flat feature -> power-normalized SymbolFrame, element pairs as the
+    (real, imag) parts of one symbol.
+
+    Backward takes the ``(grad_received, grad_sigma, sigma)`` that
+    :class:`PowerDenorm` returns: the channel noise between the two
+    back-propagates as identity, and the normalization is differentiated
+    exactly, sigma included.
+    """
+
+    def params(self):
+        return []
+
+    def forward(self, flat, tape=None):
+        s, sigma = power_normalize(flat)
+        if tape is not None:
+            tape.put(self, (s, sigma))
+        pairs = s.reshape(SYMBOLS_PER_SEGMENT, 2)
+        return SymbolFrame(pairs[:, 0] + 1j * pairs[:, 1], scale=sigma)
+
+    def backward(self, upstream, tape, need_input_grad=True):
+        grad_received, grad_sigma, sigma = upstream
+        s, sigma_enc = tape.take(self)
+        tape.set_grads(self, [])
+        if sigma != sigma_enc:
+            raise RuntimeError("encode/decode tapes out of sync")
+        # channel noise backpropagates as identity: grad_s = grad_received
+        L = SYMBOLS_PER_SEGMENT
+        return (grad_received / sigma
+                - s * (float(np.dot(grad_received, s)) / (L * sigma))
+                + grad_sigma * s / L)
+
+
+class PowerDenorm:
+    """SymbolFrame -> de-normalized flat feature k_hat = received * scale."""
+
+    def params(self):
+        return []
+
+    def forward(self, frame, tape=None):
+        if len(frame) != SYMBOLS_PER_SEGMENT:
+            raise ValueError(
+                f"expected {SYMBOLS_PER_SEGMENT} symbols, got {len(frame)}")
+        received = frame.as_pairs().reshape(-1)
+        if tape is not None:
+            tape.put(self, (received, frame.scale))
+        return received * frame.scale
+
+    def backward(self, upstream, tape, need_input_grad=True):
+        received, sigma = tape.take(self)
+        tape.set_grads(self, [])
+        # k_hat = received * sigma: gradient splits between symbols and sigma
+        return upstream * sigma, float(np.dot(upstream, received)), sigma
+
+
 class CodecModel:
-    """Encoder + decoder parameter set with training metadata."""
+    """Encoder + decoder parameter set with training metadata.
+
+    The layer graph is :attr:`encoder` (clip -> SymbolFrame), then
+    :attr:`decoder` (SymbolFrame -> deep feature), then :attr:`head` (deep
+    feature -> logits). Each is a :class:`tensor.Network` built from the
+    model's layer attributes when it is read, so replacing an attribute
+    (``enc_conv``, say) replaces that layer in the graph.
+    """
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -145,24 +222,42 @@ class CodecModel:
         self.dec_conv3 = Conv3d(8, 8, (3, 3, 3), (1, 1, 1), rng)
         self.dec_relu3 = ReLU()
         self.linear = Linear(int(np.prod(DEEP_FEATURE_SHAPE)), N_ACTIVITIES, rng)
+        # the tape keys activations on layer identity, so the parameter-free
+        # layers are made once here rather than per pass
+        self.enc_flatten = Reshape((-1,))
+        self.power_norm = PowerNorm()
+        self.power_denorm = PowerDenorm()
+        self.dec_unflatten = Reshape(FEATURE_SHAPE)
+        self.deep_flatten = Reshape((-1,))
         self.epochs_trained = 0
         self.snr_train_db = math.inf
 
-    def param_layers(self):
-        return [self.enc_conv, self.dec_conv1, self.dec_conv2, self.dec_conv3,
-                self.linear]
+    @property
+    def encoder(self):
+        return Network([self.enc_conv, self.enc_flatten, self.power_norm])
+
+    @property
+    def decoder(self):
+        return Network([self.power_denorm, self.dec_unflatten,
+                        self.dec_conv1, self.dec_relu1, self.dec_pool1,
+                        self.dec_conv2, self.dec_relu2, self.dec_pool2,
+                        self.dec_conv3, self.dec_relu3])
+
+    @property
+    def head(self):
+        return Network([self.deep_flatten, self.linear])
+
+    def graph(self):
+        """Encoder, decoder and head as one network; the channel between
+        encoder and decoder back-propagates as identity."""
+        return Network(self.encoder.layers + self.decoder.layers
+                       + self.head.layers)
 
     def params(self):
-        out = []
-        for layer in self.param_layers():
-            out.extend(layer.params())
-        return out
+        return self.graph().params()
 
     def grads(self, tape):
-        out = []
-        for layer in self.param_layers():
-            out.extend(tape.grads(layer))
-        return out
+        return self.graph().grads(tape)
 
     def quantize_params_f32(self):
         """Clamp parameters onto the float32 grid (exact persistence)."""
@@ -170,49 +265,16 @@ class CodecModel:
             p[...] = p.astype(np.float32)
 
 
-def power_normalize(flat):
-    """Scale a flat feature to unit average symbol power.
-
-    sigma is the RMS symbol amplitude sqrt(sum(flat^2)/L); an all-zero
-    feature skips normalization and reports scale 0.
-    """
-    sigma = math.sqrt(float(np.dot(flat, flat)) / SYMBOLS_PER_SEGMENT)
-    if sigma == 0.0:
-        return flat.copy(), 0.0
-    return flat / sigma, sigma
-
-
 def encode(model, segment, tape=None):
     """Segment -> power-normalized SymbolFrame of 4,840 complex symbols."""
     x = segment.frames if isinstance(segment, VideoSegment) else np.asarray(segment)
-    flat = model.enc_conv.forward(x, tape).reshape(-1)
-    s, sigma = power_normalize(flat)
-    if tape is not None:
-        tape.put("power_norm", (s.copy(), sigma))
-    pairs = s.reshape(SYMBOLS_PER_SEGMENT, 2)
-    return SymbolFrame(pairs[:, 0] + 1j * pairs[:, 1], scale=sigma)
+    return model.encoder.forward(x, tape)
 
 
 def decode(model, frame, tape=None):
     """SymbolFrame -> (logits, deep_feature 8x1x5x5)."""
-    if len(frame) != SYMBOLS_PER_SEGMENT:
-        raise ValueError(
-            f"expected {SYMBOLS_PER_SEGMENT} symbols, got {len(frame)}")
-    received = frame.as_pairs().reshape(-1)
-    k_hat = received * frame.scale
-    if tape is not None:
-        tape.put("power_denorm", (received.copy(), frame.scale))
-    h = k_hat.reshape(FEATURE_SHAPE)
-    h = model.dec_conv1.forward(h, tape)
-    h = model.dec_relu1.forward(h, tape)
-    h = model.dec_pool1.forward(h, tape)
-    h = model.dec_conv2.forward(h, tape)
-    h = model.dec_relu2.forward(h, tape)
-    h = model.dec_pool2.forward(h, tape)
-    h = model.dec_conv3.forward(h, tape)
-    deep = model.dec_relu3.forward(h, tape)
-    logits = model.linear.forward(deep.reshape(-1), tape)
-    return logits, deep
+    deep = model.decoder.forward(frame, tape)
+    return model.head.forward(deep, tape), deep
 
 
 def forward_logits(model, segment):
@@ -227,33 +289,6 @@ def classify(logits):
     if logits.shape != (N_ACTIVITIES,):
         raise ShapeError(f"expected {N_ACTIVITIES} logits, got {logits.shape}")
     return Activity(int(np.argmax(logits)))
-
-
-def _backward(model, grad_logits, tape):
-    """Backward through decoder, de/normalization pair, and encoder."""
-    g = model.linear.backward(grad_logits, tape)
-    g = model.dec_relu3.backward(g.reshape(DEEP_FEATURE_SHAPE), tape)
-    g = model.dec_conv3.backward(g, tape)
-    g = model.dec_pool2.backward(g, tape)
-    g = model.dec_relu2.backward(g, tape)
-    g = model.dec_conv2.backward(g, tape)
-    g = model.dec_pool1.backward(g, tape)
-    g = model.dec_relu1.backward(g, tape)
-    g = model.dec_conv1.backward(g, tape)
-    grad_khat = g.reshape(-1)
-    received, sigma = tape.take("power_denorm")
-    s, sigma_enc = tape.take("power_norm")
-    if sigma != sigma_enc:
-        raise RuntimeError("encode/decode tapes out of sync")
-    # k_hat = received * sigma: gradient splits between symbols and sigma
-    grad_received = grad_khat * sigma
-    grad_sigma = float(np.dot(grad_khat, received))
-    # channel noise backpropagates as identity: grad_s = grad_received
-    L = SYMBOLS_PER_SEGMENT
-    grad_flat = (grad_received / sigma
-                 - s * (float(np.dot(grad_received, s)) / (L * sigma))
-                 + grad_sigma * s / L)
-    model.enc_conv.backward(grad_flat.reshape(FEATURE_SHAPE), tape)
 
 
 def sample_gradients(model, segment, label, snr_db, noise_rng):
@@ -275,7 +310,7 @@ def sample_gradients(model, segment, label, snr_db, noise_rng):
     one_hot = np.zeros(N_ACTIVITIES)
     one_hot[int(label)] = 1.0
     loss, grad_logits = softmax_cross_entropy(logits, one_hot)
-    _backward(model, grad_logits, tape)
+    model.graph().backward(grad_logits, tape)
     return loss, int(np.argmax(logits)) == int(label), model.grads(tape)
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .codec import parse_activity
-from .synthdata import Scenario, ScenarioStep
+from .synthdata import ROOMS, Scenario, ScenarioStep
 
 
 @dataclass
@@ -30,6 +30,24 @@ class SimConfig:
     forest_model: str = ""
     out_report: str = "sim_report.json"
     out_events: str = "sim_events.log"
+
+    def __post_init__(self):
+        for name in ("video_snr_db", "accel_snr_db"):
+            value = getattr(self, name)
+            if math.isnan(value) or value == -math.inf:
+                raise ValueError(f"{name} must be a number or inf, got {value}")
+        for name in ("settle_windows", "accel_noise_g", "pixel_noise",
+                     "position_jitter"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        targets = self.parse_targets()
+        if targets == ():
+            raise ValueError("ack_targets names no room")
+        for room in targets or ():
+            if room not in ROOMS:
+                raise ValueError(f"ack_targets: unknown room {room!r} "
+                                 f"(rooms: {', '.join(ROOMS)})")
 
     def parse_scenario(self):
         steps = []
@@ -87,7 +105,10 @@ def parse_config_text(text, source="<config>"):
             values[key] = _convert(key, raw)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
-    return SimConfig(**values)
+    try:
+        return SimConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_config(path):

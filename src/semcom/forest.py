@@ -167,10 +167,6 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
     return RandomForest(trees, N_CLASSES, max_depth, seed)
 
 
-def classify_posture(forest, u):
-    return forest.predict(float(u))
-
-
 def forest_to_arrays(forest):
     """Flatten a forest into the named arrays stored in a SEMW container."""
     arrays = {

@@ -11,7 +11,7 @@ from semcom.accel import (QUANT_LEVELS, QUANT_STEP, SAMPLE_RATE_HZ,
                           GravityFilter, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
-                          lowpass_gravity, make_windows, quantize,
+                          make_windows, quantize,
                           read_trace_csv, write_trace_csv)
 
 
@@ -208,7 +208,7 @@ class TestGravityFilterDesign:
     def test_lowpass_gravity_matches_scipy_lfilter(self):
         rng = np.random.default_rng(6)
         xyz = rng.standard_normal((500, 3))
-        ours = lowpass_gravity(trace_of(xyz)).xyz
+        ours = GravityFilter().process(xyz)
         b, a = sp_signal.butter(2, 0.3, fs=50.0, btype="low")
         zi = sp_signal.lfilter_zi(b, a)
         ref = np.empty_like(xyz)

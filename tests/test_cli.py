@@ -2,6 +2,8 @@
 import pytest
 
 from semcom.cli import main
+from semcom.codec import ACTIVITY_NAMES, Activity
+from semcom.synthdata import ROOMS
 
 
 class TestOverheadCommand:
@@ -75,7 +77,13 @@ class TestSimulateCommand:
             "out_report = report.json\n"
             "out_events = events.log\n")
         assert main(["simulate", "--config", str(config)]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out.splitlines()
+        heading = out.index("detections (count, accuracy) by activity x room:")
+        rows = out[heading + 1:heading + 1 + len(ACTIVITY_NAMES)]
+        assert [row.split()[0] for row in rows] == [
+            ACTIVITY_NAMES[a] for a in Activity]
+        for row in rows:
+            assert all(f"{room}: " in row for room in ROOMS)
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "events.log").exists()
 

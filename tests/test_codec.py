@@ -21,7 +21,7 @@ from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           parse_activity, power_normalize, sample_gradients,
                           sample_segments, save_model, segment_count, train)
 from semcom.synthdata import make_codec_dataset
-from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU,
+from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU, Tape,
                            softmax_cross_entropy)
 from semcom.weights_io import (ContainerFormatError, ContainerTruncatedError)
 
@@ -254,6 +254,19 @@ class TestGradientPath:
         _, _, g2 = sample_gradients(model, segment, 1, math.inf, rng)
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
+
+    def test_params_come_from_the_graph_in_checkpoint_order(self):
+        model = CodecModel(seed=2)
+        assert ([id(p) for p in model.params()]
+                == [id(get(model)) for _, get in codec._ARRAY_SPECS])
+
+    def test_backward_rejects_a_frame_from_another_encode(self):
+        model = CodecModel(seed=2)
+        tape = Tape()
+        frame = encode(model, random_segment(4), tape)
+        decode(model, SymbolFrame(frame.symbols, scale=2.0 * frame.scale), tape)
+        with pytest.raises(RuntimeError, match="out of sync"):
+            model.graph().backward(np.ones(5), tape)
 
 
 class TestTraining:

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from semcom.accel import Posture
 from semcom.forest import (RandomForest, Tree, best_gini_split,
-                           classify_posture, forest_from_arrays,
-                           forest_to_arrays, gini, load_forest, save_forest,
-                           train_forest)
+                           forest_from_arrays, forest_to_arrays, gini,
+                           load_forest, save_forest, train_forest)
 
 
 def brute_force_best_split(u, y, n_classes=4):
@@ -151,11 +150,6 @@ class TestPrediction:
         u, y = clusters([0.2, 0.8], 0.05, 30, seed=7)
         forest = train_forest(u, y, seed=9)
         assert forest.predict(-100.0) == forest.predict(0.0)
-
-    def test_classify_posture_helper(self):
-        u, y = clusters([-0.5, 0.5], 0.05, 20, seed=8)
-        forest = train_forest(u, y, seed=1)
-        assert classify_posture(forest, -0.5) == Posture.LYING
 
 
 class TestPersistence:

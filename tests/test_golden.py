@@ -1,0 +1,123 @@
+"""Golden outputs: SHA-256 digests of the bytes that training, evaluation
+and a gated simulation produce, so a refactor that should not move any
+output can prove that it did not.
+
+The digests in ``golden.json`` were recorded on one numpy and BLAS build.
+Another build may round differently by an ulp, so on a different stack
+every test here skips and its message names both the recorded and the
+running numpy and BLAS versions. Regenerate the file only for a change
+that is meant to move outputs, and say in the change log which results
+moved and why, with the numbers before and after::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import hashlib
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from semcom import codec, forest, simulate, synthdata
+from semcom.config import SimConfig
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden.json")
+CHECKPOINT = os.path.join(HERE, os.pardir, "bench", "codec_checkpoint.semw")
+
+EVAL_SNRS_DB = (math.inf, 25.0, 7.0)
+EVAL_NOISE_SEEDS = (0, 1)
+SIM_SCENARIO = "sleeping:20,resting:20,dress-up:20,eating:20,calling:20"
+
+
+def stack():
+    """numpy and BLAS versions of the running interpreter."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # older numpy has no dict form of its build config
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def train_digest():
+    """Per-epoch loss and accuracy, then every final parameter, of a
+    3-epoch run on 10 segments with a partial last batch."""
+    segments, labels = synthdata.make_codec_dataset(2, seed=0)
+    model = codec.CodecModel(seed=3)
+    history = codec.train(model, segments, labels, 25.0,
+                          codec.TrainConfig(epochs=3, batch_size=4))
+    digest = hashlib.sha256()
+    for stats in history:
+        digest.update(np.float64([stats.loss, stats.accuracy]).tobytes())
+    for p in model.params():
+        digest.update(p.tobytes())
+    return digest.hexdigest()
+
+
+def evaluate_digest():
+    """Accuracy, logits and deep feature of every decode that evaluate
+    runs over 3 SNRs x 2 noise seeds on 10 segments."""
+    model = codec.load_model(CHECKPOINT)
+    segments, labels = synthdata.make_codec_dataset(2, seed=1)
+    digest = hashlib.sha256()
+    decode = codec.decode
+
+    def recording_decode(model, frame, tape=None):
+        logits, deep = decode(model, frame, tape)
+        digest.update(logits.tobytes())
+        digest.update(deep.tobytes())
+        return logits, deep
+
+    codec.decode = recording_decode
+    try:
+        for snr_db in EVAL_SNRS_DB:
+            for noise_seed in EVAL_NOISE_SEEDS:
+                accuracy = codec.evaluate(model, segments, labels, snr_db,
+                                          noise_seed=noise_seed)
+                digest.update(np.float64(accuracy).tobytes())
+    finally:
+        codec.decode = decode
+    return digest.hexdigest()
+
+
+def simulation_digest():
+    """Report JSON and event lines of a 100-s gated simulation."""
+    u, y = synthdata.make_posture_dataset(80, seed=1)
+    posture_forest = forest.train_forest(u, y, seed=2)
+    report = simulate.run_simulation(SimConfig(seed=4, scenario=SIM_SCENARIO),
+                                     codec.load_model(CHECKPOINT),
+                                     posture_forest)
+    digest = hashlib.sha256(report.to_json().encode())
+    digest.update("\n".join(report.event_lines).encode())
+    return digest.hexdigest()
+
+
+DIGESTS = {"train": train_digest, "evaluate": evaluate_digest,
+           "simulation": simulation_digest}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    running = stack()
+    if recorded["stack"] != running:
+        pytest.skip(f"golden digests recorded on {recorded['stack']}, "
+                    f"running on {running}")
+    return recorded["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_bytes_unchanged(golden, name):
+    assert DIGESTS[name]() == golden[name]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({"stack": stack(),
+                   "digests": {name: fn() for name, fn in DIGESTS.items()}},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}")

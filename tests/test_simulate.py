@@ -1,6 +1,8 @@
-"""Simulation-loop tests: ledger double-entry, determinism, and the
-no-transition degenerate case."""
+"""Simulation-loop tests: ledger double-entry, determinism, the
+no-transition degenerate case, and config validation."""
 import pytest
+
+from semcom.cli import main as cli_main
 
 from semcom.codec import CodecModel
 from semcom.config import SimConfig, load_config, parse_config_text
@@ -123,6 +125,21 @@ class TestRunSimulation:
         assert "skipped_uploads" not in report.to_dict()
 
 
+INVALID_CONFIG_LINES = [
+    ("video_snr_db = nan", "video_snr_db"),
+    ("accel_snr_db = nan", "accel_snr_db"),
+    ("video_snr_db = -inf", "video_snr_db"),
+    ("accel_snr_db = -inf", "accel_snr_db"),
+    ("ack_targets = ,", "ack_targets names no room"),
+    ("ack_targets = garage", "unknown room 'garage'"),
+    ("ack_targets = kitchen, garage", "unknown room 'garage'"),
+    ("settle_windows = -1", "settle_windows"),
+    ("accel_noise_g = -0.05", "accel_noise_g"),
+    ("pixel_noise = -0.005", "pixel_noise"),
+    ("position_jitter = -4", "position_jitter"),
+]
+
+
 class TestConfig:
     def test_parse_round_trip(self):
         text = """
@@ -170,3 +187,24 @@ class TestConfig:
         cfg = SimConfig(scenario="sleeping:2", validation_windows=3)
         with pytest.raises(ValueError, match="validation"):
             cfg.parse_scenario()
+
+    @pytest.mark.parametrize("line, message", INVALID_CONFIG_LINES)
+    def test_invalid_value_rejected_at_load(self, line, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            parse_config_text(f"seed = 1\n{line}")
+        assert str(exc.value).startswith("<config>: ")
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("line, message", INVALID_CONFIG_LINES)
+    def test_invalid_value_fails_simulate_cleanly(self, tmp_path, capsys, line,
+                                                  message):
+        config = tmp_path / "sim.cfg"
+        config.write_text("codec_model = codec.semw\n"
+                          f"forest_model = forest.semw\n{line}\n")
+        assert cli_main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
