@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .codec import parse_activity
+from .controller import AckPolicy
 from .synthdata import ROOMS, Scenario, ScenarioStep
 
 
@@ -48,6 +49,8 @@ class SimConfig:
             if room not in ROOMS:
                 raise ValueError(f"ack_targets: unknown room {room!r} "
                                  f"(rooms: {', '.join(ROOMS)})")
+        AckPolicy(self.validation_windows, targets, self.segments_per_ack)
+        self.parse_scenario()
 
     def parse_scenario(self):
         steps = []

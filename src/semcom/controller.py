@@ -24,9 +24,11 @@ class AckPolicy:
 
     def __post_init__(self):
         if self.validation_windows < 1:
-            raise ValueError("validation_windows must be >= 1")
+            raise ValueError(
+                f"validation_windows must be >= 1, got {self.validation_windows}")
         if self.segments_per_ack < 1:
-            raise ValueError("segments_per_ack must be >= 1")
+            raise ValueError(
+                f"segments_per_ack must be >= 1, got {self.segments_per_ack}")
 
 
 class ControllerState(NamedTuple):

@@ -1,6 +1,12 @@
 """Minimal dense-tensor kernel: 3D conv/pool/linear layers with exact backward
 passes, plain SGD, and a finite-difference gradient checker.
 
+Every convolution forward runs one kernel, ``Conv3d._correlate``: per
+kernel tap, one matmul of the tap's weights with a contiguous column slice
+of the flattened padded input, accumulated over cache-sized slabs of output
+depth rows. Its bytes are those of a per-tap matmul over copied windows,
+because each output gets the same gemm products in the same order.
+
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
 it convolves only the extent the pool reads (at the codec's shapes) and
 forms the weight gradient from the pool winners' input patches alone, with
@@ -15,9 +21,15 @@ window arithmetic (trailing remainder dropped).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 AXIS_NAMES = ("channels", "depth", "height", "width")
+
+# Column budget of one depth slab in Conv3d._correlate. A 4-channel float64
+# accumulator of 16,384 columns is 512 KiB, so it fits in a 2 MiB L2 with
+# the tap product and the input slice. The codec's 114 x 114 padded encoder
+# plane then runs one depth row per slab, and every decoder plane one slab.
+_SLAB_COLUMNS = 16384
 
 
 class ShapeError(ValueError):
@@ -117,16 +129,47 @@ class Conv3d:
         return np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
     def _correlate(self, xp, extent):
-        """Outputs over the leading (D', H', W') = extent of the padded input."""
+        """Outputs over the leading (D', H', W') = extent of the padded input.
+
+        With the (C, D, H, W) padded input flattened to (C, D*H*W), tap
+        (i, j, k) of output (d, h, w) reads column ((d + i)*H + h + j)*W +
+        w + k, so each tap's operand is one contiguous column slice and no
+        window is copied. Output depth rows go in slabs of as many rows as
+        fit in _SLAB_COLUMNS columns (at least one), so the accumulator
+        stays in cache. A slab's accumulator is contiguous and spans whole
+        padded (H, W) planes up to the last column its outputs read; it is
+        cropped to (H', W') once, through a strided view.
+
+        The result is bitwise that of a per-tap matmul over copied compact
+        windows: every output gets the same per-tap gemm products, added
+        onto zero in the same tap order, then the bias, and gemm rounds a
+        column the same whatever the column count or offset. A matmul with
+        one row or one column goes to gemv instead, whose rounding depends
+        on the column's place among the columns. So with H' = W' = 1, where
+        a one-depth-row slab would have one column, the whole depth goes in
+        one slab. With one output channel every matmul has one row, and the
+        result is a correct conv within gemv's ulps, not bitwise the old one.
+        """
         kd, kh, kw = self.kernel
         do, ho, wo = extent
-        out = np.zeros((self.out_channels, do, ho, wo))
-        flat = out.reshape(self.out_channels, -1)
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    window = xp[:, i:i + do, j:j + ho, k:k + wo].reshape(self.in_channels, -1)
-                    flat += self.weights[:, :, i, j, k] @ window
+        taps = [(i, j, k) for i in range(kd) for j in range(kh) for k in range(kw)]
+        out = np.empty((self.out_channels, do, ho, wo))
+        _, _, hp, wp = xp.shape
+        plane = hp * wp
+        xf = xp.reshape(self.in_channels, -1)
+        rows = do if ho * wo == 1 else max(1, _SLAB_COLUMNS // plane)
+        for d0 in range(0, do, rows):
+            n = min(rows, do - d0)
+            span = (n - 1) * plane + (ho - 1) * wp + wo
+            acc = np.zeros((self.out_channels, span))
+            for i, j, k in taps:
+                start = ((d0 + i) * hp + j) * wp + k
+                acc += self.weights[:, :, i, j, k] @ xf[:, start:start + span]
+            # output (d0 + e, h, w) sits at column e*plane + h*wp + w < span
+            col = acc.strides[1]
+            out[:, d0:d0 + n] = as_strided(
+                acc, (self.out_channels, n, ho, wo),
+                (acc.strides[0], plane * col, wp * col, col))
         out += self.bias[:, None, None, None]
         return out
 

@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +114,42 @@ def golden():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_bytes_unchanged(golden, name):
     assert DIGESTS[name]() == golden[name]
+
+
+# Digest of the encoder's bytes at the codec's shapes: a fresh fused layer
+# on a random clip, then codec.encode of one checkpoint segment.
+ENCODER_PROBE = """
+import hashlib, sys
+import numpy as np
+from semcom import codec, synthdata
+from semcom.tensor import ConvReLUPool3d
+rng = np.random.default_rng(9)
+layer = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5), rng)
+digest = hashlib.sha256(layer.forward(rng.uniform(0.0, 1.0, (3, 16, 112, 112))).tobytes())
+segment = synthdata.make_codec_dataset(1, seed=3)[0][0]
+frame = codec.encode(codec.load_model(sys.argv[1]), segment)
+digest.update(frame.symbols.tobytes())
+digest.update(np.float64(frame.scale).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def encoder_digest(blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    src = os.path.join(HERE, os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", ENCODER_PROBE, CHECKPOINT],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_encoder_bytes_independent_of_blas_threads():
+    """The digests above are recorded once but checked under any BLAS
+    thread count (the benchmark pins one thread, a plain pytest run uses
+    the default), so the encoder must give the same bytes under both."""
+    one_thread = encoder_digest(1)
+    assert len(one_thread) == 64
+    assert encoder_digest(2) == one_thread
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
 """Simulation-loop tests: ledger double-entry, determinism, the
 no-transition degenerate case, and config validation."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcom.cli import main as cli_main
 
-from semcom.codec import CodecModel
+from semcom.codec import ACTIVITY_NAMES, CodecModel
 from semcom.config import SimConfig, load_config, parse_config_text
 from semcom.forest import train_forest
 from semcom.simulate import _settled_mask, run_simulation
-from semcom.synthdata import make_posture_dataset
+from semcom.synthdata import ROOMS, WALK_SECONDS, make_posture_dataset
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,9 @@ INVALID_CONFIG_LINES = [
     ("accel_noise_g = -0.05", "accel_noise_g"),
     ("pixel_noise = -0.005", "pixel_noise"),
     ("position_jitter = -4", "position_jitter"),
+    ("validation_windows = 0", "validation_windows must be >= 1"),
+    ("segments_per_ack = 0", "segments_per_ack must be >= 1"),
+    ("scenario = sleeping:-5,resting:5", "step 0 duration -5s"),
 ]
 
 
@@ -184,9 +189,8 @@ class TestConfig:
             load_config(tmp_path / "missing.cfg")
 
     def test_scenario_duration_check(self):
-        cfg = SimConfig(scenario="sleeping:2", validation_windows=3)
         with pytest.raises(ValueError, match="validation"):
-            cfg.parse_scenario()
+            SimConfig(scenario="sleeping:2", validation_windows=3)
 
     @pytest.mark.parametrize("line, message", INVALID_CONFIG_LINES)
     def test_invalid_value_rejected_at_load(self, line, message):
@@ -208,3 +212,53 @@ class TestConfig:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
+
+
+SNR_VALUES = st.one_of(st.integers(-5, 30).map(str), st.just("inf"))
+ACTIVITIES = sorted(ACTIVITY_NAMES.values())
+
+
+@st.composite
+def config_texts(draw):
+    """Config text for a small random run that is valid by construction
+    (the rejected inputs are INVALID_CONFIG_LINES' job), with the facts its
+    report should obey."""
+    windows = draw(st.integers(1, 4))
+    steps = [draw(st.sampled_from(ACTIVITIES))]
+    for _ in range(draw(st.integers(1, 3))):
+        steps.append(draw(st.sampled_from([a for a in ACTIVITIES if a != steps[-1]])))
+    durations = [draw(st.integers(max(3, windows), 15)) for _ in steps]
+    rooms = draw(st.one_of(st.none(), st.lists(st.sampled_from(ROOMS), min_size=1,
+                                                max_size=len(ROOMS), unique=True)))
+    segments = draw(st.integers(1, 3))
+    lines = [
+        f"seed = {draw(st.integers(0, 2**16))}",
+        f"video_snr_db = {draw(SNR_VALUES)}",
+        f"accel_snr_db = {draw(SNR_VALUES)}",
+        f"validation_windows = {windows}",
+        f"segments_per_ack = {segments}",
+        "ack_targets = " + ("broadcast" if rooms is None else ", ".join(rooms)),
+        f"accel_noise_g = {draw(st.sampled_from([0.0, 0.05, 0.2]))}",
+        f"pixel_noise = {draw(st.sampled_from([0.0, 0.005, 0.05]))}",
+        f"position_jitter = {draw(st.integers(0, 6))}",
+        "scenario = " + ",".join(f"{a}:{d}" for a, d in zip(steps, durations)),
+    ]
+    seconds = sum(durations) + WALK_SECONDS * (len(steps) - 1)
+    n_targets = len(ROOMS if rooms is None else rooms)
+    return "\n".join(lines), seconds, n_targets, segments
+
+
+class TestRandomConfigs:
+    # each example runs two simulations of up to a minute of scenario time
+    @settings(max_examples=3, deadline=None)
+    @given(config_texts())
+    def test_valid_config_runs_to_a_balanced_report(
+            self, posture_forest, untrained_codec, drawn):
+        text, seconds, n_targets, segments = drawn
+        cfg = parse_config_text(text)
+        report = run_simulation(cfg, untrained_codec, posture_forest)
+        assert report.overhead["raw_symbols"] == 75 * seconds
+        assert report.overhead["N_t"] == (report.n_events * n_targets * segments
+                                          - report.skipped_uploads)
+        assert run_simulation(cfg, untrained_codec,
+                              posture_forest).to_json() == report.to_json()

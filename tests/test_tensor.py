@@ -1,9 +1,14 @@
 """Tensor-kernel tests: brute-force and finite-difference oracles."""
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcom import codec, tensor
+from semcom.synthdata import make_codec_dataset
 from semcom.tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
                            ReLU, Reshape, ShapeError, StateError, Tape,
                            conv3d_output_shape, grad_check, lr_schedule,
@@ -266,6 +271,127 @@ def assert_grads_close(got, want, rtol=1e-12):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+def per_tap_copy_correlate(self, xp, extent):
+    """Conv3d._correlate as it was before the depth-slab kernel, kept
+    verbatim as the bit-exact oracle (``self`` is the conv layer): each
+    tap's window is copied out and multiplied over the whole extent."""
+    kd, kh, kw = self.kernel
+    do, ho, wo = extent
+    out = np.zeros((self.out_channels, do, ho, wo))
+    flat = out.reshape(self.out_channels, -1)
+    for i in range(kd):
+        for j in range(kh):
+            for k in range(kw):
+                window = xp[:, i:i + do, j:j + ho, k:k + wo].reshape(self.in_channels, -1)
+                flat += self.weights[:, :, i, j, k] @ window
+    out += self.bias[:, None, None, None]
+    return out
+
+
+def oracle_conv(conv, x):
+    """Conv3d.forward through the per-tap-copy oracle."""
+    return per_tap_copy_correlate(
+        conv, conv._pad(x), conv3d_output_shape(x.shape[1:], conv.kernel, conv.padding))
+
+
+def oracle_fused(fused, x):
+    """ConvReLUPool3d.forward as the oracle conv -> ReLU -> MaxPool3d."""
+    pool = MaxPool3d(fused.pool_kernel, fused.pool_stride)
+    return pool.forward(ReLU().forward(oracle_conv(fused, x)))
+
+
+def random_layer(data, fused):
+    """A Conv3d or ConvReLUPool3d with random shapes, weights and bias, and
+    an input for it; extents may be 1 on any axis."""
+    c = data.draw(st.integers(1, 3))
+    f = data.draw(st.integers(1, 4))
+    kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+    pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
+    pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3)) if fused else (1,) * 3
+    # conv extents from 1 up, and at least the pool kernel for the fused layer
+    dims = tuple(data.draw(st.integers(max(1, pool[i] + kernel[i] - 1 - 2 * pad[i]), 9))
+                 for i in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if fused:
+        stride = tuple(data.draw(st.integers(1, 4)) for _ in range(3))
+        layer = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+    else:
+        layer = Conv3d(c, f, kernel, pad, rng)
+    layer.bias[...] = rng.normal(0.0, 0.3, f)
+    return layer, rng.standard_normal((c,) + dims)
+
+
+def assert_matches_oracle(got, want, out_channels):
+    """Bitwise equal; with one output channel every matmul is a gemv, whose
+    rounding moves with a column's place, so there only within ulps."""
+    if out_channels == 1:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+# column budgets: one-column slabs, slabs of one depth row and a remainder,
+# many depth rows per slab, and the shipped budget
+SLAB_BUDGETS = st.sampled_from([1, 2, 7, 30, 120, tensor._SLAB_COLUMNS])
+
+
+class TestCorrelateOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SLAB_BUDGETS)
+    def test_conv3d_forward_bitwise_equals_oracle(self, data, budget):
+        conv, x = random_layer(data, fused=False)
+        with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
+            got = conv.forward(x)
+        assert_matches_oracle(got, oracle_conv(conv, x), conv.out_channels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SLAB_BUDGETS)
+    def test_conv_relu_pool3d_forward_bitwise_equals_oracle(self, data, budget):
+        fused, x = random_layer(data, fused=True)
+        with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
+            got = fused.forward(x)
+        assert_matches_oracle(got, oracle_fused(fused, x), fused.out_channels)
+
+    @pytest.mark.parametrize("c, f, kernel, pad, dims, budget", [
+        # H' = W' = 1: a one-depth-row slab would be a one-column gemv
+        (3, 4, (3, 3, 3), (1, 0, 0), (9, 3, 3), 1),
+        (2, 3, (2, 2, 2), (0, 0, 0), (8, 2, 2), 4),
+        (2, 3, (1, 2, 2), (0, 0, 0), (1, 2, 2), 1),     # a single output
+        # one output channel: every tap's matmul is a gemv (within ulps)
+        (3, 1, (3, 3, 3), (1, 1, 1), (7, 9, 11), 50),
+        (2, 1, (2, 2, 2), (0, 0, 0), (9, 2, 2), 1),
+        # an 18 x 130 x 130 padded grid: 16,900 columns per depth row exceed
+        # the shipped budget, so each slab is one depth row
+        (2, 2, (3, 3, 3), (1, 1, 1), (16, 128, 128), None),
+    ])
+    def test_edge_extents_bitwise_equal_oracle(self, c, f, kernel, pad, dims,
+                                               budget):
+        rng = np.random.default_rng(11)
+        conv = Conv3d(c, f, kernel, pad, rng)
+        conv.bias[...] = rng.normal(0.0, 0.3, f)
+        x = rng.standard_normal((c,) + dims)
+        with mock.patch.object(tensor, "_SLAB_COLUMNS",
+                               budget or tensor._SLAB_COLUMNS):
+            got = conv.forward(x)
+        assert_matches_oracle(got, oracle_conv(conv, x), f)
+
+    def test_codec_checkpoint_layers_bitwise_equal_oracle(self):
+        """The checkpoint's encoder layer on three rendered segments, and
+        each decoder conv on the activations that reach it."""
+        checkpoint = os.path.join(os.path.dirname(__file__), os.pardir,
+                                  "bench", "codec_checkpoint.semw")
+        model = codec.load_model(checkpoint)
+        segments, _ = make_codec_dataset(1, seed=2)
+        for segment in segments[:3]:
+            got = model.enc_conv.forward(segment.frames)
+            assert got.tobytes() == oracle_fused(model.enc_conv, segment.frames).tobytes()
+            x = codec.encode(model, segment)
+            for layer in model.decoder.layers:
+                if isinstance(layer, Conv3d):
+                    assert layer.forward(x).tobytes() == oracle_conv(layer, x).tobytes()
+                x = layer.forward(x)
 
 
 class TestConvReLUPool3d:
