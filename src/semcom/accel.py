@@ -17,8 +17,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .channel import SymbolFrame
-
 SAMPLE_RATE_HZ = 50.0
 WINDOW_SAMPLES = 50
 ACCEL_RANGE_G = 4.0          # quantizer domain [-4, +4) g
@@ -105,38 +103,33 @@ def encode_raw(trace):
 
     Values are packed sample-major (x, y, z per sample), two consecutive
     values per complex symbol. A trailing partial second is dropped.
-    Frames are not power-normalized (``scale`` = 1.0): amplitudes are g/4,
-    so channel noise scales with each frame's measured power rather than
-    with full scale. Returns (frames, clamped_count).
+    Frames are not power-normalized: amplitudes are g/4, so channel noise
+    scales with each frame's measured power rather than with full scale.
+    Returns (symbols, clamped_count), symbols a (seconds, 75) complex
+    array with one frame per row.
     """
     codes, clamped = quantize(trace.xyz)
     amps = codes_to_amplitudes(codes).reshape(-1)   # sample-major x,y,z
     n_frames = amps.size // VALUES_PER_FRAME
-    frames = []
-    for f in range(n_frames):
-        chunk = amps[f * VALUES_PER_FRAME:(f + 1) * VALUES_PER_FRAME]
-        pairs = chunk.reshape(SYMBOLS_PER_FRAME, 2)
-        frames.append(SymbolFrame(pairs[:, 0] + 1j * pairs[:, 1]))
-    return frames, clamped
+    pairs = amps[:n_frames * VALUES_PER_FRAME].reshape(
+        n_frames, SYMBOLS_PER_FRAME, 2)
+    return pairs[..., 0] + 1j * pairs[..., 1], clamped
 
 
-def decode_raw(frames):
-    """Recover an AccelTrace from received raw frames.
+def decode_raw(symbols):
+    """Recover an AccelTrace from received raw frames, one per row of a
+    (frames, 75) complex array.
 
     Timestamps are regenerated on the 50 Hz grid starting at 0.
     """
-    values = []
-    for idx, frame in enumerate(frames):
-        if len(frame) != SYMBOLS_PER_FRAME:
-            raise ValueError(
-                f"frame {idx} has {len(frame)} symbols, expected {SYMBOLS_PER_FRAME}")
-        pairs = np.empty(VALUES_PER_FRAME)
-        pairs[0::2] = frame.symbols.real
-        pairs[1::2] = frame.symbols.imag
-        values.append(dequantize(amplitudes_to_codes(pairs)))
-    if not values:
-        return AccelTrace(np.empty(0), np.empty((0, 3)))
-    xyz = np.concatenate(values).reshape(-1, 3)
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim != 2 or symbols.shape[1] != SYMBOLS_PER_FRAME:
+        raise ValueError(f"expected {SYMBOLS_PER_FRAME} symbols per frame in "
+                         f"an (n, {SYMBOLS_PER_FRAME}) array, got {symbols.shape}")
+    pairs = np.empty((symbols.shape[0], VALUES_PER_FRAME))
+    pairs[:, 0::2] = symbols.real
+    pairs[:, 1::2] = symbols.imag
+    xyz = dequantize(amplitudes_to_codes(pairs)).reshape(-1, 3)
     t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
     return AccelTrace(t, xyz)
 
@@ -185,14 +178,15 @@ class GravityFilter:
         if self._z1 is None:
             self._warm_start(chunk[0])
         # one axis at a time on Python floats: the same IEEE operations in
-        # the same order as the vector recurrence, without per-sample numpy
+        # the same order as the vector recurrence, without per-sample numpy;
+        # only one axis of a long chunk is held as Python floats at a time
         b0, b1, b2 = (float(v) for v in self.b)
         a1, a2 = float(self.a[1]), float(self.a[2])
         z1s, z2s = self._z1.tolist(), self._z2.tolist()
-        for axis, xs in enumerate(chunk.T.tolist()):
+        for axis in range(self.n_axes):
             z1, z2 = z1s[axis], z2s[axis]
             ys = []
-            for x in xs:
+            for x in chunk[:, axis].tolist():
                 y = b0 * x + z1
                 z1 = b1 * x - a1 * y + z2
                 z2 = b2 * x - a2 * y
@@ -205,20 +199,23 @@ class GravityFilter:
 
 @dataclass
 class AccelWindow:
-    """One second of gravity-filtered samples as a 3x50 matrix."""
+    """One second of gravity-filtered samples as a 3x50 matrix, or with G
+    of shape (n, 3, 50), the n consecutive windows index .. index + n - 1."""
 
     index: int
     G: np.ndarray
 
     def __post_init__(self):
         self.G = np.ascontiguousarray(self.G, dtype=np.float64)
-        if self.G.shape != (3, WINDOW_SAMPLES):
-            raise ValueError(f"G must be (3, {WINDOW_SAMPLES}), got {self.G.shape}")
+        if self.G.shape[-2:] != (3, WINDOW_SAMPLES) or self.G.ndim not in (2, 3):
+            raise ValueError(f"G must be (3, {WINDOW_SAMPLES}) or "
+                             f"(n, 3, {WINDOW_SAMPLES}), got {self.G.shape}")
 
 
 @dataclass
 class GravityFeature:
-    """Mean cosine of a window against the default gravity direction."""
+    """Mean cosine of a window against the default gravity direction; for
+    a block of windows, u and excluded_columns are arrays, one per window."""
 
     index: int
     u: float
@@ -238,15 +235,25 @@ def gravity_feature(window):
     """Movement-orientation degree: mean over columns of cos(g_ij, [0,0,1]).
 
     Columns with near-zero norm are excluded from the mean and counted;
-    a window with no usable column is an error.
+    a window with no usable column is an error that names its index. A
+    block of windows gives, window by window, the same bytes as single
+    windows would.
     """
-    norms = np.linalg.norm(window.G, axis=0)
+    G = window.G.reshape(-1, 3, WINDOW_SAMPLES)
+    norms = np.linalg.norm(G, axis=1)
     valid = norms > DEGENERATE_NORM
-    n_excluded = int(np.count_nonzero(~valid))
-    if not np.any(valid):
-        raise ValueError(f"window {window.index}: all columns degenerate")
-    cosines = window.G[2, valid] / norms[valid]
-    return GravityFeature(window.index, float(np.mean(cosines)), n_excluded)
+    excluded = WINDOW_SAMPLES - valid.sum(axis=1)
+    # degenerate columns divide by a placeholder 1; their windows are redone
+    u = np.mean(G[:, 2] / np.where(valid, norms, 1.0), axis=1)
+    if excluded.any():
+        for k in np.flatnonzero(excluded).tolist():
+            if excluded[k] == WINDOW_SAMPLES:
+                raise ValueError(
+                    f"window {window.index + k}: all columns degenerate")
+            u[k] = np.mean(G[k, 2, valid[k]] / norms[k, valid[k]])
+    if window.G.ndim == 2:
+        return GravityFeature(window.index, float(u[0]), int(excluded[0]))
+    return GravityFeature(window.index, u, excluded)
 
 
 def write_trace_csv(path, trace):

@@ -58,17 +58,23 @@ class ChannelConfig:
     rng_seed: int = 0
 
 
-def gaussian_noise(n, rng):
-    """n standard-normal draws via Box-Muller on uniform variates from rng."""
-    pairs = (n + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1]: keeps log() finite
-    u2 = rng.random(pairs)
+def gaussian_noise(n, rng, rows=1):
+    """n standard-normal draws via Box-Muller on uniform variates from rng.
+
+    With rows > 1 (dividing n) the draws are those that ``rows``
+    consecutive calls for n // rows draws each would return, concatenated.
+    """
+    per_row = n // rows
+    pairs = (per_row + 1) // 2
+    uniforms = rng.random((rows, 2, pairs))
+    u1 = 1.0 - uniforms[:, 0]  # (0, 1]: keeps log() finite
+    u2 = uniforms[:, 1]
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:n]
+    out = np.empty((rows, 2 * pairs))
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out[:, :per_row].reshape(-1)
 
 
 def _philox(seed):
@@ -78,21 +84,27 @@ def _philox(seed):
 def add_noise(symbols, snr_db, rng):
     """Return symbols + AWGN at snr_db relative to their measured power.
 
-    The input array is not modified. Infinite snr_db returns a plain copy.
+    A 2-D input is a block of frames, one per row: each row's noise is
+    referenced to that row's power, and the result is bitwise what calls
+    on the rows in order would return. The input array is not modified.
+    Infinite snr_db returns a plain copy.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.size == 0:
         raise ValueError("cannot transmit an empty frame")
     if math.isinf(snr_db):
         return symbols.copy()
-    power = float(np.mean(symbols.real**2 + symbols.imag**2))
-    if power == 0.0:
+    frames = symbols.reshape(-1, symbols.shape[-1])
+    power = np.mean(frames.real**2 + frames.imag**2, axis=1, keepdims=True)
+    if not power.all():
         raise ValueError(
             "all-zero frame at finite SNR: signal power 0 leaves noise undefined")
     sigma_sq = power / 10.0 ** (snr_db / 10.0)
-    std = math.sqrt(sigma_sq / 2.0)
-    noise = gaussian_noise(2 * symbols.size, rng)
-    return symbols + std * (noise[0::2] + 1j * noise[1::2])
+    std = np.sqrt(sigma_sq / 2.0)
+    noise = gaussian_noise(2 * symbols.size, rng, frames.shape[0])
+    noise = noise.reshape(frames.shape[0], -1)
+    noisy = frames + std * (noise[:, 0::2] + 1j * noise[:, 1::2])
+    return noisy.reshape(symbols.shape)
 
 
 def transmit(frame, config):
@@ -109,8 +121,12 @@ class Channel:
         self._rng = _philox(rng_seed)
 
     def send(self, frame):
-        return SymbolFrame(add_noise(frame.symbols, self.snr_db, self._rng),
-                           scale=frame.scale)
+        """A noisy SymbolFrame, or for a (frames, symbols) array of frames,
+        the noisy array; either way the same draws as frame-by-frame sends."""
+        if isinstance(frame, SymbolFrame):
+            return SymbolFrame(add_noise(frame.symbols, self.snr_db, self._rng),
+                               scale=frame.scale)
+        return add_noise(frame, self.snr_db, self._rng)
 
 
 def measured_snr(clean, noisy):

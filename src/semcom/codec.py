@@ -49,7 +49,6 @@ FEATURE_ELEMS = 4 * 5 * 22 * 22          # 9,680
 SYMBOLS_PER_SEGMENT = FEATURE_ELEMS // 2  # 4,840
 DEEP_FEATURE_SHAPE = (8, 1, 5, 5)
 N_ACTIVITIES = 5
-DEFAULT_STRIDE = 16
 
 
 class Activity(IntEnum):
@@ -105,30 +104,6 @@ class VideoSegment:
         if frames.dtype == np.uint8:
             frames = frames.astype(np.float64) / 255.0
         return cls(index, np.transpose(frames, (3, 0, 1, 2)))
-
-
-def segment_count(total_frames, stride=DEFAULT_STRIDE):
-    """How many full 16-frame windows a stream of total_frames yields."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if total_frames < SEGMENT_FRAMES:
-        return 0
-    return (total_frames - SEGMENT_FRAMES) // stride + 1
-
-
-def sample_segments(frames, stride=DEFAULT_STRIDE):
-    """Slide a 16-frame window over (T, H, W, 3) frames.
-
-    Segment j covers frames [j*stride, j*stride + 16); only full windows
-    are emitted, so fewer than 16 frames yields an empty list.
-    """
-    frames = np.asarray(frames)
-    count = segment_count(frames.shape[0], stride)
-    return [
-        VideoSegment.from_rgb_frames(
-            j, frames[j * stride:j * stride + SEGMENT_FRAMES])
-        for j in range(count)
-    ]
 
 
 def power_normalize(flat):

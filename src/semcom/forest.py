@@ -75,10 +75,18 @@ class Tree:
     hist: np.ndarray   # (n_nodes, n_classes) class counts
 
     def predict_class(self, u):
-        node = 0
-        while self.left[node] != _NO_CHILD:
-            node = self.left[node] if u < self.threshold[node] else self.right[node]
-        return int(np.argmax(self.hist[node]))   # lowest code wins ties
+        """Class of the leaf that u reaches: an int for a scalar u, an
+        int64 array for an array of features."""
+        u = np.asarray(u, dtype=np.float64)
+        node = np.zeros(u.shape, dtype=np.int64)
+        inner = self.left[node] != _NO_CHILD
+        while inner.any():
+            down = np.where(u < self.threshold[node], self.left[node],
+                            self.right[node])
+            node = np.where(inner, down, node)
+            inner = self.left[node] != _NO_CHILD
+        leaf_class = np.argmax(self.hist, axis=1)[node]   # lowest code wins ties
+        return int(leaf_class) if leaf_class.ndim == 0 else leaf_class
 
     @property
     def n_nodes(self):
@@ -137,10 +145,16 @@ class RandomForest:
     seed: int = 0
 
     def predict(self, u):
-        """Plurality vote over tree class votes; ties go to the lowest code."""
-        votes = np.bincount([t.predict_class(u) for t in self.trees],
-                            minlength=self.n_classes)
-        return Posture(int(np.argmax(votes)))
+        """Plurality vote over tree class votes; ties go to the lowest code.
+
+        A scalar u gives a Posture; an array of features gives an int64
+        array of posture codes, one per feature.
+        """
+        classes = np.array([t.predict_class(u) for t in self.trees])
+        votes = np.count_nonzero(
+            classes[..., None] == np.arange(self.n_classes), axis=0)
+        codes = np.argmax(votes, axis=-1)
+        return Posture(int(codes)) if codes.ndim == 0 else codes
 
 
 def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,

@@ -4,7 +4,15 @@ gating, video feature uploads, and the overhead ledger.
 Each simulated second sends one 75-symbol raw acceleration frame through
 the accel channel, recovers it, updates the streaming gravity filter, and
 feeds the windowed cosine feature to the posture forest and transmission
-controller. A validated postural transition dispatches upload commands;
+controller. Nothing on that accel path reads the controller, so the
+posture stream is computed first, ``ACCEL_BLOCK_S`` seconds at a time:
+each block is packed, sent, decoded, filtered and classified in one call
+per stage. Every stage works frame by frame inside the block (per-frame
+noise power, channel draws in frame order, filter state carried across
+blocks, one cosine feature and forest vote per window), so the
+per-second results are bitwise those of one-second steps. The
+controller then walks the stream second by second. A validated postural
+transition dispatches upload commands;
 every commanded camera uploads the current segment from its stride-16
 grid through the video channel, and the decoded classification is
 recorded against ground truth. An upload whose 16 frames would run past
@@ -26,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import overhead
-from .accel import (SYMBOLS_PER_FRAME, AccelWindow, GravityFilter,
-                    decode_raw, encode_raw, gravity_feature)
+from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, AccelTrace,
+                    AccelWindow, GravityFilter, Posture, decode_raw,
+                    encode_raw, gravity_feature)
 from .channel import Channel
 from .codec import (SEGMENT_FRAMES, Activity, ACTIVITY_NAMES, classify,
                     decode, encode)
@@ -80,6 +89,12 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+# Seconds of accel uplink per block: long enough to amortize each stage's
+# per-call cost, short enough to keep the block's arrays small.
+ACCEL_BLOCK_S = 256
+_POSTURES = tuple(Posture)
+
+
 def _derived_seed(master, tag):
     return int(np.random.SeedSequence([master & 0xFFFFFFFF, tag]).generate_state(1)[0])
 
@@ -99,6 +114,31 @@ def _settled_mask(truth, settle_windows):
     return mask
 
 
+def posture_stream(trace, accel_channel, forest):
+    """The accel uplink over a whole trace: returns (u, postures, clamped),
+    the per-second cosine features, the forest's posture for each second
+    and the number of clamped samples."""
+    seconds = len(trace) // WINDOW_SAMPLES
+    gravity = GravityFilter()
+    u = np.empty(seconds)
+    postures = []
+    clamped = 0
+    for start in range(0, seconds, ACCEL_BLOCK_S):
+        stop = min(start + ACCEL_BLOCK_S, seconds)
+        rows = slice(start * WINDOW_SAMPLES, stop * WINDOW_SAMPLES)
+        symbols, block_clamped = encode_raw(
+            AccelTrace(trace.t[rows], trace.xyz[rows]))
+        clamped += block_clamped
+        received = decode_raw(accel_channel.send(symbols))
+        filtered = gravity.process(received.xyz)
+        windows = filtered.reshape(-1, WINDOW_SAMPLES, 3).transpose(0, 2, 1)
+        feature = gravity_feature(AccelWindow(start, windows))
+        u[start:stop] = feature.u
+        postures.extend(_POSTURES[code]
+                        for code in forest.predict(feature.u).tolist())
+    return u, postures, clamped
+
+
 def run_simulation(cfg, codec_model, forest):
     """Run one scenario; returns a SimReport (pure function of cfg+models)."""
     scenario = cfg.parse_scenario()
@@ -106,26 +146,18 @@ def run_simulation(cfg, codec_model, forest):
                        cfg.segments_per_ack)
     cameras = {room: RoomCamera(scenario, room) for room in ROOMS}
     trace, posture_truth = gen_accel_trace(scenario)
-    frames, clamped = encode_raw(trace)
-
     accel_channel = Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1))
+    _, posture_pred, clamped = posture_stream(trace, accel_channel, forest)
+
     video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
-    gravity = GravityFilter()
     controller = TransmissionController(policy)
     ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
+    ledger.raw_symbols = SYMBOLS_PER_FRAME * len(posture_pred)
 
-    posture_pred = []
     uploads = []
     skipped = 0
     event_lines = []
-    for sec, frame in enumerate(frames):
-        noisy = accel_channel.send(frame)
-        ledger.raw_symbols += SYMBOLS_PER_FRAME
-        chunk = decode_raw([noisy])
-        filtered = gravity.process(chunk.xyz)
-        feature = gravity_feature(AccelWindow(sec, filtered.T))
-        predicted = forest.predict(feature.u)
-        posture_pred.append(predicted)
+    for sec, predicted in enumerate(posture_pred):
         event = controller.observe(predicted, sec)
         if event is None:
             continue

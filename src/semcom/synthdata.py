@@ -178,13 +178,12 @@ def gen_accel_trace(scenario):
     postures = posture_timeline(scenario)
     rng = _rng(scenario.seed, _ACCEL_STREAM)
     n = len(postures) * WINDOW_SAMPLES
-    xyz = np.empty((n, 3))
-    for sec, posture in enumerate(postures):
-        block = np.tile(gravity_direction(posture), (WINDOW_SAMPLES, 1))
-        if scenario.accel_noise_g > 0:
-            block = block + rng.normal(0.0, scenario.accel_noise_g,
-                                       block.shape)
-        xyz[sec * WINDOW_SAMPLES:(sec + 1) * WINDOW_SAMPLES] = block
+    noise_g = scenario.accel_noise_g
+    # one draw for the whole trace: the same stream as a draw per second
+    xyz = rng.normal(0.0, noise_g, (n, 3)) if noise_g > 0 else np.zeros((n, 3))
+    per_second = xyz.reshape(-1, WINDOW_SAMPLES, 3)   # a view of xyz
+    directions = np.array([gravity_direction(p) for p in Posture])
+    per_second += directions[np.array(postures, dtype=np.int64)].reshape(-1, 1, 3)
     t = np.arange(n) / SAMPLE_RATE_HZ
     return AccelTrace(t, xyz), postures
 
@@ -305,9 +304,10 @@ class RoomCamera:
 
     def frame(self, frame_index):
         """(H, W, 3) uint8 frame at an absolute stream index."""
+        if not 0 <= frame_index < self.total_frames:
+            raise IndexError(f"frame {frame_index} outside the scenario's "
+                             f"{self.total_frames} frames")
         second = frame_index // FPS
-        if second >= len(self._timeline):
-            raise IndexError(f"frame {frame_index} beyond scenario end")
         entry = self._timeline[second]
         active = entry is not None and entry[1] == self.room
         noise_rng = _rng(self.scenario.seed, _VIDEO_NOISE_STREAM,
@@ -330,7 +330,10 @@ class RoomCamera:
         return VideoSegment.from_rgb_frames(grid_index, frames)
 
     def segment_label(self, grid_index):
-        """Ground-truth (activity, room) of a grid segment, or None."""
+        """Ground-truth (activity, room) of a grid segment, or None while
+        walking or past the scenario end; a negative index is an error."""
+        if grid_index < 0:
+            raise IndexError(f"segment {grid_index} outside the scenario")
         second = (grid_index * SEGMENT_FRAMES) // FPS
         if second >= len(self._timeline):
             return None

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from semcom.accel import (QUANT_LEVELS, QUANT_STEP, SAMPLE_RATE_HZ,
-                          SYMBOLS_PER_FRAME, AccelTrace, AccelWindow,
+from semcom.accel import (DEGENERATE_NORM, QUANT_LEVELS, QUANT_STEP,
+                          SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME, AccelTrace,
+                          AccelWindow, GravityFeature,
                           GravityFilter, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
@@ -54,7 +55,7 @@ class TestRawCodec:
         xyz = rng.uniform(-3.9, 3.9, (150, 3))
         frames, clamped = encode_raw(trace_of(xyz))
         assert clamped == 0
-        assert len(frames) == 3 and all(len(f) == SYMBOLS_PER_FRAME for f in frames)
+        assert frames.shape == (3, SYMBOLS_PER_FRAME)
         out = decode_raw(frames)
         assert np.max(np.abs(out.xyz - xyz)) <= QUANT_STEP / 2 + 1e-12
 
@@ -63,14 +64,13 @@ class TestRawCodec:
         assert len(frames) == 1
 
     def test_empty_round_trip(self):
-        out = decode_raw([])
+        out = decode_raw(np.empty((0, SYMBOLS_PER_FRAME), dtype=np.complex128))
         assert len(out) == 0
 
     def test_malformed_frame_length(self):
-        from semcom.channel import SymbolFrame
-        bad = SymbolFrame(np.zeros(10, dtype=np.complex128))
+        bad = np.zeros((1, 10), dtype=np.complex128)
         with pytest.raises(ValueError, match="expected 75"):
-            decode_raw([bad])
+            decode_raw(bad)
 
     def test_timestamps_regenerated(self):
         frames, _ = encode_raw(trace_of(np.zeros((100, 3))))
@@ -95,7 +95,7 @@ class TestRawCodec:
         a missing /2 in the quadrature split (x1.41) or noise referenced
         to another power falls outside it.
         """
-        from semcom.channel import Channel
+        from semcom.channel import Channel, SymbolFrame
         snr_db = 25.0
         rng = np.random.default_rng(42)
         xyz = rng.uniform(-1.5, 1.5, (50 * 40, 3))   # 40 seconds
@@ -108,7 +108,8 @@ class TestRawCodec:
         rms = float(np.sqrt(np.mean((out.xyz - xyz) ** 2)))
         g_per_amplitude = QUANT_STEP * QUANT_LEVELS / 2
         channel_mse = np.mean([
-            g_per_amplitude**2 * f.avg_power / (2.0 * 10.0 ** (snr_db / 10.0))
+            g_per_amplitude**2 * SymbolFrame(f).avg_power
+            / (2.0 * 10.0 ** (snr_db / 10.0))
             for f in frames])
         expected_rms = float(np.sqrt(channel_mse + QUANT_STEP**2 / 6.0))
         assert abs(rms - expected_rms) / expected_rms < 0.05
@@ -282,6 +283,64 @@ class TestGravityFeature:
         u1 = gravity_feature(AccelWindow(0, G)).u
         u2 = gravity_feature(AccelWindow(0, G * scales)).u
         assert u1 == pytest.approx(u2, abs=1e-12)
+
+
+def single_window_feature(window):
+    """gravity_feature as it was before it took blocks of windows, kept
+    verbatim as the oracle."""
+    norms = np.linalg.norm(window.G, axis=0)
+    valid = norms > DEGENERATE_NORM
+    n_excluded = int(np.count_nonzero(~valid))
+    if not np.any(valid):
+        raise ValueError(f"window {window.index}: all columns degenerate")
+    cosines = window.G[2, valid] / norms[valid]
+    return GravityFeature(window.index, float(np.mean(cosines)), n_excluded)
+
+
+def window_block(seed, n):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0.0, rng.uniform(0.01, 2.0), (n, 3, 50))
+            + rng.normal(0.0, 1.0, (n, 3, 1)))
+
+
+class TestGravityFeatureBlock:
+    """A block of windows gives, window by window, the bytes of the
+    single-window feature."""
+
+    @staticmethod
+    def assert_matches_windows(index, G):
+        got = gravity_feature(AccelWindow(index, G))
+        for k in range(G.shape[0]):
+            want = single_window_feature(AccelWindow(index + k, G[k]))
+            assert np.float64(want.u).tobytes() == got.u[k].tobytes()
+            assert got.excluded_columns[k] == want.excluded_columns
+            one = gravity_feature(AccelWindow(index + k, G[k]))
+            assert one == want and type(one.u) is float
+        return got
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_block_equals_single_windows(self, seed, n):
+        self.assert_matches_windows(seed % 1000, window_block(seed, n))
+
+    def test_planted_degenerate_column(self):
+        G = window_block(4, 9)
+        G[5, :, 17] = 0.0
+        G[5, :, 40] = DEGENERATE_NORM / 4
+        got = self.assert_matches_windows(100, G)
+        assert got.excluded_columns.tolist() == [0] * 5 + [2] + [0] * 3
+
+    def test_all_degenerate_window_names_its_index(self):
+        G = window_block(5, 6)
+        G[4] = 0.0
+        with pytest.raises(ValueError, match="window 104: all columns degenerate"):
+            gravity_feature(AccelWindow(100, G))
+        with pytest.raises(ValueError, match="window 104: all columns degenerate"):
+            single_window_feature(AccelWindow(104, G[4]))
+
+    def test_block_shape_validated(self):
+        with pytest.raises(ValueError, match="G must be"):
+            AccelWindow(0, np.zeros((2, 3, 49)))
 
 
 class TestTraceValidation:

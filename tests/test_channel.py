@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semcom.channel import (Channel, ChannelConfig, SymbolFrame, add_noise,
-                            gaussian_noise, measured_snr, transmit)
+from semcom.channel import (Channel, ChannelConfig, SymbolFrame, _philox,
+                            add_noise, gaussian_noise, measured_snr, transmit)
 
 
 def unit_power_frame(n, seed=0):
@@ -144,3 +146,88 @@ class TestSymbolFrame:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             SymbolFrame(np.zeros((2, 2), dtype=np.complex128))
+
+
+def per_frame_gaussian_noise(n, rng):
+    """gaussian_noise as it was before it drew a block of frames at once,
+    kept verbatim as the oracle."""
+    pairs = (n + 1) // 2
+    u1 = 1.0 - rng.random(pairs)  # (0, 1]: keeps log() finite
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def per_frame_add_noise(symbols, snr_db, rng):
+    """add_noise as it was before it took a block of frames, kept verbatim
+    (apart from the oracle's own noise draw) as the oracle."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.size == 0:
+        raise ValueError("cannot transmit an empty frame")
+    if math.isinf(snr_db):
+        return symbols.copy()
+    power = float(np.mean(symbols.real**2 + symbols.imag**2))
+    if power == 0.0:
+        raise ValueError(
+            "all-zero frame at finite SNR: signal power 0 leaves noise undefined")
+    sigma_sq = power / 10.0 ** (snr_db / 10.0)
+    std = math.sqrt(sigma_sq / 2.0)
+    noise = per_frame_gaussian_noise(2 * symbols.size, rng)
+    return symbols + std * (noise[0::2] + 1j * noise[1::2])
+
+
+class TestBlockOfFrames:
+    """A (frames, symbols) block through add_noise or Channel.send is
+    bitwise the per-frame calls in order, and leaves the stream where they
+    would."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from([1, 2, 3, 75]),
+           st.sampled_from([math.inf, 25.0, 7.0, 0.0, -5.0]))
+    def test_add_noise_block_equals_per_frame_calls(self, seed, n_frames,
+                                                    n_symbols, snr_db):
+        rng = np.random.default_rng(seed)
+        block = (rng.uniform(-1.0, 1.0, (n_frames, n_symbols))
+                 + 1j * rng.uniform(-1.0, 1.0, (n_frames, n_symbols)))
+        block[rng.integers(n_frames)] *= rng.uniform(1e-3, 1e3)
+        blocked, per_frame = _philox(seed), _philox(seed)
+        got = add_noise(block, snr_db, blocked)
+        want = np.stack([per_frame_add_noise(row, snr_db, per_frame)
+                         for row in block])
+        assert got.tobytes() == want.tobytes()
+        assert blocked.random() == per_frame.random()
+
+    def test_single_frame_equals_oracle(self):
+        frame = unit_power_frame(4840, seed=2).symbols
+        got = add_noise(frame, 25.0, _philox(4))
+        assert got.tobytes() == per_frame_add_noise(frame, 25.0,
+                                                    _philox(4)).tobytes()
+
+    def test_gaussian_noise_rows_equal_consecutive_calls(self):
+        got = gaussian_noise(7 * 150, _philox(8), rows=7)
+        rng = _philox(8)
+        want = np.concatenate([per_frame_gaussian_noise(150, rng)
+                               for _ in range(7)])
+        assert got.tobytes() == want.tobytes()
+        assert gaussian_noise(7, _philox(1)).tobytes() == \
+            per_frame_gaussian_noise(7, _philox(1)).tobytes()
+
+    def test_channel_send_block_equals_frame_sends(self):
+        rng = np.random.default_rng(3)
+        block = rng.uniform(-0.5, 0.5, (40, 75)) + 0.3j
+        blocked, per_frame = Channel(25.0, 5), Channel(25.0, 5)
+        for _ in range(2):   # the second block continues the same stream
+            got = blocked.send(block)
+            want = [per_frame.send(SymbolFrame(row)).symbols for row in block]
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_zero_frame_in_block_rejected(self):
+        block = np.ones((3, 75), dtype=np.complex128)
+        block[1] = 0.0
+        with pytest.raises(ValueError, match="all-zero frame"):
+            add_noise(block, 10.0, _philox(0))

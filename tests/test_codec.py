@@ -19,7 +19,7 @@ from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           TrainConfig, VideoSegment, classify, decode, encode,
                           evaluate, forward_logits, load_model,
                           parse_activity, power_normalize, sample_gradients,
-                          sample_segments, save_model, segment_count, train)
+                          save_model, train)
 from semcom.synthdata import make_codec_dataset
 from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU, Tape,
                            softmax_cross_entropy)
@@ -54,33 +54,10 @@ def model():
 
 
 class TestSampling:
-    def test_reference_frame_count(self):
-        assert segment_count(29640, 16) == 1852
-
-    def test_exactly_16_frames(self):
-        frames = np.zeros((16, 112, 112, 3), dtype=np.uint8)
-        assert len(sample_segments(frames, 16)) == 1
-
-    def test_31_frames_single_window(self):
-        frames = np.zeros((31, 112, 112, 3), dtype=np.uint8)
-        assert len(sample_segments(frames, 16)) == 1
-
-    def test_fewer_than_16_empty(self):
-        frames = np.zeros((15, 112, 112, 3), dtype=np.uint8)
-        assert sample_segments(frames, 16) == []
-
-    def test_overlapping_stride(self):
-        frames = np.zeros((32, 112, 112, 3), dtype=np.uint8)
-        assert len(sample_segments(frames, 8)) == 3
-
-    def test_stride_validation(self):
-        with pytest.raises(ValueError):
-            segment_count(100, 0)
-
     def test_segment_layout_and_scaling(self):
         frames = np.zeros((16, 112, 112, 3), dtype=np.uint8)
         frames[:, 1, 2, 0] = 255
-        seg = sample_segments(frames, 16)[0]
+        seg = VideoSegment.from_rgb_frames(0, frames)
         assert seg.frames.shape == (3, 16, 112, 112)
         assert seg.frames[0, 0, 1, 2] == 1.0
         assert seg.frames[1, 0, 1, 2] == 0.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom.accel import Posture
-from semcom.forest import (RandomForest, Tree, best_gini_split,
+from semcom.forest import (_NO_CHILD, RandomForest, Tree, best_gini_split,
                            forest_from_arrays, forest_to_arrays, gini,
                            load_forest, save_forest, train_forest)
 
@@ -181,3 +181,85 @@ class TestPersistence:
         from semcom.weights_io import ContainerFormatError
         with pytest.raises(ContainerFormatError, match="meta"):
             forest_from_arrays({})
+
+
+def scalar_predict_class(tree, u):
+    """Tree.predict_class as it was before it took arrays, kept verbatim as
+    the oracle: one node at a time."""
+    node = 0
+    while tree.left[node] != _NO_CHILD:
+        node = tree.left[node] if u < tree.threshold[node] else tree.right[node]
+    return int(np.argmax(tree.hist[node]))   # lowest code wins ties
+
+
+def scalar_predict(forest, u):
+    """RandomForest.predict as it was before it took arrays, kept verbatim
+    as the oracle."""
+    votes = np.bincount([scalar_predict_class(t, u) for t in forest.trees],
+                        minlength=forest.n_classes)
+    return Posture(int(np.argmax(votes)))
+
+
+def leaf_tree(hist):
+    return Tree(np.zeros(1), np.array([-1]), np.array([-1]),
+                np.array([hist], dtype=np.float64))
+
+
+def random_tree(rng, depth):
+    """A full tree of the given depth with random thresholds and small
+    integer leaf histograms, so leaf ties are common."""
+    thresholds, lefts, rights, hists = [], [], [], []
+
+    def build(level):
+        node = len(thresholds)
+        thresholds.append(float(rng.uniform(-1.0, 1.0)))
+        lefts.append(_NO_CHILD)
+        rights.append(_NO_CHILD)
+        hists.append(rng.integers(0, 3, 4).astype(np.float64))
+        if level < depth and rng.random() < 0.8:
+            lefts[node] = build(level + 1)
+            rights[node] = build(level + 1)
+        return node
+
+    build(0)
+    return Tree(np.array(thresholds), np.array(lefts, dtype=np.int64),
+                np.array(rights, dtype=np.int64), np.stack(hists))
+
+
+class TestVectorizedVotes:
+    """predict over an array of features equals the per-tree scalar
+    traversal feature by feature, vote and leaf ties included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4))
+    def test_random_forests_match_scalar_traversal(self, seed, n_trees, depth):
+        rng = np.random.default_rng(seed)
+        forest = RandomForest([random_tree(rng, depth) for _ in range(n_trees)])
+        us = np.concatenate([rng.uniform(-1.2, 1.2, 200),
+                             forest.trees[0].threshold,   # exactly on a split
+                             [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+        codes = forest.predict(us)
+        assert codes.shape == us.shape and codes.dtype == np.int64
+        assert codes.tolist() == [int(scalar_predict(forest, v)) for v in us]
+        for tree in forest.trees:
+            assert tree.predict_class(us).tolist() == [
+                scalar_predict_class(tree, v) for v in us]
+
+    def test_trained_forest_matches_scalar_traversal(self):
+        u, y = clusters([-0.9, 0.3, 0.7, 0.95], 0.1, 40, seed=12)
+        forest = train_forest(u, y, seed=3)
+        grid = np.linspace(-1.2, 1.2, 2001)
+        assert forest.predict(grid).tolist() == [
+            int(scalar_predict(forest, v)) for v in grid]
+
+    def test_vote_tie_goes_to_lowest_code(self):
+        forest = RandomForest([leaf_tree([0, 0, 5, 0]), leaf_tree([0, 4, 0, 0]),
+                               leaf_tree([1, 1, 1, 1]), leaf_tree([0, 0, 0, 2])])
+        # votes: 1 LYING (leaf tie), 1 SITTING, 1 STANDING, 1 WALKING
+        assert forest.predict(np.zeros(3)).tolist() == [0, 0, 0]
+        assert forest.predict(0.0) == scalar_predict(forest, 0.0) == Posture.LYING
+
+    def test_scalar_gives_posture(self):
+        forest = RandomForest([leaf_tree([0, 0, 5, 0])])
+        assert type(forest.predict(0.3)) is Posture
+        assert type(forest.trees[0].predict_class(0.3)) is int

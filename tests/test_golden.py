@@ -31,6 +31,8 @@ CHECKPOINT = os.path.join(HERE, os.pardir, "bench", "codec_checkpoint.semw")
 EVAL_SNRS_DB = (math.inf, 25.0, 7.0)
 EVAL_NOISE_SEEDS = (0, 1)
 SIM_SCENARIO = "sleeping:20,resting:20,dress-up:20,eating:20,calling:20"
+# 898 s: several of the simulator's accel blocks, the last one partial
+LONG_SIM_SCENARIO = "sleeping:300,calling:290,dress-up:300"
 
 
 def stack():
@@ -84,11 +86,10 @@ def evaluate_digest():
     return digest.hexdigest()
 
 
-def simulation_digest():
-    """Report JSON and event lines of a 100-s gated simulation."""
+def _simulation_digest(seed, scenario):
     u, y = synthdata.make_posture_dataset(80, seed=1)
     posture_forest = forest.train_forest(u, y, seed=2)
-    report = simulate.run_simulation(SimConfig(seed=4, scenario=SIM_SCENARIO),
+    report = simulate.run_simulation(SimConfig(seed=seed, scenario=scenario),
                                      codec.load_model(CHECKPOINT),
                                      posture_forest)
     digest = hashlib.sha256(report.to_json().encode())
@@ -96,8 +97,20 @@ def simulation_digest():
     return digest.hexdigest()
 
 
+def simulation_digest():
+    """Report JSON and event lines of a 100-s gated simulation."""
+    return _simulation_digest(4, SIM_SCENARIO)
+
+
+def long_simulation_digest():
+    """Report JSON and event lines of an 898-s quiet simulation: long
+    dwells, few uploads, so the per-second accel chain dominates."""
+    return _simulation_digest(6, LONG_SIM_SCENARIO)
+
+
 DIGESTS = {"train": train_digest, "evaluate": evaluate_digest,
-           "simulation": simulation_digest}
+           "simulation": simulation_digest,
+           "simulation_long": long_simulation_digest}
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +127,15 @@ def golden():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_bytes_unchanged(golden, name):
     assert DIGESTS[name]() == golden[name]
+
+
+def test_long_simulation_spans_several_blocks():
+    """The long simulation crosses the accel uplink's block edges and ends
+    in a partial block."""
+    seconds = synthdata.timeline_seconds(
+        SimConfig(scenario=LONG_SIM_SCENARIO).parse_scenario())
+    assert seconds > 3 * simulate.ACCEL_BLOCK_S
+    assert seconds % simulate.ACCEL_BLOCK_S
 
 
 # Digest of the encoder's bytes at the codec's shapes: a fresh fused layer

@@ -1,16 +1,176 @@
 """Simulation-loop tests: ledger double-entry, determinism, the
-no-transition degenerate case, and config validation."""
+no-transition degenerate case, config validation, and the blocked accel
+uplink against the per-second loop it replaced."""
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semcom import overhead, simulate
+from semcom.accel import (SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME, VALUES_PER_FRAME,
+                          AccelTrace, AccelWindow, GravityFilter,
+                          amplitudes_to_codes, codes_to_amplitudes,
+                          decode_raw, dequantize, encode_raw, gravity_feature,
+                          quantize)
+from semcom.channel import Channel, SymbolFrame
 from semcom.cli import main as cli_main
 
-from semcom.codec import ACTIVITY_NAMES, CodecModel
+from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, Activity, CodecModel,
+                          classify, decode, encode)
 from semcom.config import SimConfig, load_config, parse_config_text
+from semcom.controller import (AckPolicy, TransmissionController, dispatch,
+                               format_event)
 from semcom.forest import train_forest
-from semcom.simulate import _settled_mask, run_simulation
-from semcom.synthdata import ROOMS, WALK_SECONDS, make_posture_dataset
+from semcom.simulate import (SimReport, UploadRecord, _derived_seed,
+                             _settled_mask, posture_stream, run_simulation)
+from semcom.synthdata import (FPS, ROOMS, WALK_SECONDS, RoomCamera,
+                              gen_accel_trace, make_posture_dataset)
+
+
+# The accel uplink as it ran before blocks, one second per step: the raw
+# codec, then the simulation loop, kept verbatim as the oracle.
+def per_frame_encode_raw(trace):
+    """Quantize and pack a trace into one 75-symbol frame per full second.
+
+    Values are packed sample-major (x, y, z per sample), two consecutive
+    values per complex symbol. A trailing partial second is dropped.
+    Frames are not power-normalized (``scale`` = 1.0): amplitudes are g/4,
+    so channel noise scales with each frame's measured power rather than
+    with full scale. Returns (frames, clamped_count).
+    """
+    codes, clamped = quantize(trace.xyz)
+    amps = codes_to_amplitudes(codes).reshape(-1)   # sample-major x,y,z
+    n_frames = amps.size // VALUES_PER_FRAME
+    frames = []
+    for f in range(n_frames):
+        chunk = amps[f * VALUES_PER_FRAME:(f + 1) * VALUES_PER_FRAME]
+        pairs = chunk.reshape(SYMBOLS_PER_FRAME, 2)
+        frames.append(SymbolFrame(pairs[:, 0] + 1j * pairs[:, 1]))
+    return frames, clamped
+
+
+def per_frame_decode_raw(frames):
+    """Recover an AccelTrace from received raw frames.
+
+    Timestamps are regenerated on the 50 Hz grid starting at 0.
+    """
+    values = []
+    for idx, frame in enumerate(frames):
+        if len(frame) != SYMBOLS_PER_FRAME:
+            raise ValueError(
+                f"frame {idx} has {len(frame)} symbols, expected {SYMBOLS_PER_FRAME}")
+        pairs = np.empty(VALUES_PER_FRAME)
+        pairs[0::2] = frame.symbols.real
+        pairs[1::2] = frame.symbols.imag
+        values.append(dequantize(amplitudes_to_codes(pairs)))
+    if not values:
+        return AccelTrace(np.empty(0), np.empty((0, 3)))
+    xyz = np.concatenate(values).reshape(-1, 3)
+    t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
+    return AccelTrace(t, xyz)
+
+
+def per_second_simulation(cfg, codec_model, forest):
+    """run_simulation as it was before the accel uplink ran in blocks, kept
+    verbatim as the oracle; it also returns the per-second u and postures."""
+    scenario = cfg.parse_scenario()
+    policy = AckPolicy(cfg.validation_windows, cfg.parse_targets(),
+                       cfg.segments_per_ack)
+    cameras = {room: RoomCamera(scenario, room) for room in ROOMS}
+    trace, posture_truth = gen_accel_trace(scenario)
+    frames, clamped = per_frame_encode_raw(trace)
+
+    accel_channel = Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1))
+    video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
+    gravity = GravityFilter()
+    controller = TransmissionController(policy)
+    ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
+
+    posture_pred = []
+    us = []
+    uploads = []
+    skipped = 0
+    event_lines = []
+    for sec, frame in enumerate(frames):
+        noisy = accel_channel.send(frame)
+        ledger.raw_symbols += SYMBOLS_PER_FRAME
+        chunk = per_frame_decode_raw([noisy])
+        filtered = gravity.process(chunk.xyz)
+        feature = gravity_feature(AccelWindow(sec, filtered.T))
+        us.append(feature.u)
+        predicted = forest.predict(feature.u)
+        posture_pred.append(predicted)
+        event = controller.observe(predicted, sec)
+        if event is None:
+            continue
+        commands = dispatch(event, policy, ROOMS, ledger)
+        event_lines.append(format_event(event))
+        for command in commands:
+            base_grid = (command.t * FPS) // SEGMENT_FRAMES
+            camera = cameras[command.camera]
+            for k in range(command.segments):
+                grid = base_grid + k
+                if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
+                    skipped += 1
+                    ledger.n_t -= 1
+                    continue
+                segment = camera.segment_at_grid(grid)
+                sent = video_channel.send(encode(codec_model, segment))
+                logits, _ = decode(codec_model, sent)
+                label = camera.segment_label(grid)
+                uploads.append(UploadRecord(
+                    t=command.t, room=command.camera, grid_index=grid,
+                    predicted=classify(logits),
+                    truth_activity=None if label is None else label[0],
+                    truth_room=None if label is None else label[1]))
+
+    ledger.n_f = len(ROOMS) * (cameras[ROOMS[0]].total_frames // SEGMENT_FRAMES)
+
+    # posture bookkeeping
+    truth_arr = [int(p) for p in posture_truth]
+    pred_arr = [int(p) for p in posture_pred]
+    settled = _settled_mask(truth_arr, cfg.settle_windows)
+    correct = np.array([t == p for t, p in zip(truth_arr, pred_arr)])
+    n_settled = int(settled.sum())
+    posture_stats = {
+        "total_windows": len(truth_arr),
+        "settled_windows": n_settled,
+        "raw_accuracy": float(correct.mean()) if truth_arr else None,
+        "settled_accuracy": (float(correct[settled].mean())
+                             if n_settled else None),
+    }
+
+    # Table-3-style matrix over ground-truthed uploads
+    table = {ACTIVITY_NAMES[a]: {room: {"count": 0, "correct": 0}
+                                 for room in ROOMS} for a in Activity}
+    truthed = 0
+    truthed_correct = 0
+    background = 0
+    for rec in uploads:
+        if rec.truth_activity is None or rec.truth_room != rec.room:
+            background += 1
+            continue
+        truthed += 1
+        cell = table[ACTIVITY_NAMES[rec.predicted]][rec.room]
+        cell["count"] += 1
+        if rec.predicted == rec.truth_activity:
+            cell["correct"] += 1
+            truthed_correct += 1
+
+    return us, posture_pred, SimReport(
+        overhead=overhead.report(ledger, scenario="simulation"),
+        posture=posture_stats,
+        activity_table=table,
+        activity_accuracy=(truthed_correct / truthed) if truthed else None,
+        n_events=len(controller.events),
+        uploads=len(uploads),
+        background_uploads=background,
+        clamped_samples=clamped,
+        event_lines=event_lines,
+        skipped_uploads=skipped,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +422,84 @@ class TestRandomConfigs:
                                           - report.skipped_uploads)
         assert run_simulation(cfg, untrained_codec,
                               posture_forest).to_json() == report.to_json()
+
+
+@st.composite
+def block_cases(draw):
+    """A block size (1, 7 or the shipped one) and the keyword arguments of a
+    valid SimConfig whose scenario lasts one second less than a block, one
+    block or one second more. Uploads go to one room, so each example
+    stays cheap at the longest length."""
+    block = draw(st.sampled_from([1, 7, simulate.ACCEL_BLOCK_S]))
+    seconds = max(1, block + draw(st.sampled_from([-1, 0, 1])))
+    windows = draw(st.integers(1, min(3, seconds)))
+    max_steps = (seconds + WALK_SECONDS) // (windows + WALK_SECONDS)
+    n_steps = draw(st.integers(1, min(3, max_steps)))
+    spare = seconds - n_steps * windows - WALK_SECONDS * (n_steps - 1)
+    cuts = sorted(draw(st.lists(st.integers(0, spare), min_size=n_steps - 1,
+                                max_size=n_steps - 1)))
+    durations = [windows + hi - lo
+                 for lo, hi in zip([0] + cuts, cuts + [spare])]
+    steps = [draw(st.sampled_from(ACTIVITIES))]
+    for _ in durations[1:]:
+        steps.append(draw(st.sampled_from([a for a in ACTIVITIES
+                                           if a != steps[-1]])))
+    return block, dict(
+        seed=draw(st.integers(0, 2**16)),
+        scenario=",".join(f"{a}:{d}" for a, d in zip(steps, durations)),
+        validation_windows=windows,
+        accel_snr_db=draw(st.sampled_from([float("inf"), 25.0, 10.0])),
+        accel_noise_g=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        ack_targets=draw(st.sampled_from(ROOMS)))
+
+
+class TestBlockedUplink:
+    """The blocked accel uplink gives, second by second, the bytes of the
+    per-second loop it replaced (per_second_simulation above)."""
+
+    # each example runs the simulation twice, up to 257 s of scenario
+    @settings(max_examples=8, deadline=None)
+    @given(block_cases())
+    @example((simulate.ACCEL_BLOCK_S,
+              dict(seed=11, scenario="sleeping:130,calling:123",
+                   validation_windows=3, accel_snr_db=float("inf"),
+                   accel_noise_g=0.0, ack_targets="bedroom")))
+    @example((7, dict(seed=12, scenario="resting:8", validation_windows=1,
+                      accel_snr_db=float("inf"), accel_noise_g=0.0,
+                      ack_targets="kitchen")))
+    def test_matches_per_second_loop(self, posture_forest, untrained_codec,
+                                     case):
+        block, kwargs = case
+        cfg = SimConfig(**kwargs)
+        us, postures, want = per_second_simulation(cfg, untrained_codec,
+                                                   posture_forest)
+        trace, _ = gen_accel_trace(cfg.parse_scenario())
+        assert len(trace) // 50 in (block - 1, block, block + 1, 1)
+        with mock.patch.object(simulate, "ACCEL_BLOCK_S", block):
+            u, got_postures, clamped = posture_stream(
+                trace, Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1)),
+                posture_forest)
+            got = run_simulation(cfg, untrained_codec, posture_forest)
+        assert u.tobytes() == np.array(us).tobytes()
+        assert got_postures == postures
+        assert all(type(p) is type(q) for p, q in zip(got_postures, postures))
+        assert clamped == want.clamped_samples == got.clamped_samples
+        assert got.to_json() == want.to_json()
+        assert got.event_lines == want.event_lines
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 49))
+    def test_raw_codec_matches_per_frame(self, seed, seconds, extra_samples):
+        rng = np.random.default_rng(seed)
+        n = seconds * 50 + extra_samples
+        trace = AccelTrace(np.arange(n) / SAMPLE_RATE_HZ,
+                           rng.uniform(-4.5, 4.5, (n, 3)))
+        symbols, clamped = encode_raw(trace)
+        frames, want_clamped = per_frame_encode_raw(trace)
+        assert clamped == want_clamped
+        assert symbols.tobytes() == b"".join(f.symbols.tobytes() for f in frames)
+        noisy = symbols + rng.normal(0.0, 0.01, symbols.shape)
+        got = decode_raw(noisy)
+        want = per_frame_decode_raw([SymbolFrame(row) for row in noisy])
+        assert got.xyz.tobytes() == want.xyz.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()

@@ -2,15 +2,19 @@
 frame determinism, and timeline bookkeeping."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semcom.accel import (AccelTrace, GravityFilter, Posture, gravity_feature,
+from semcom.accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, AccelTrace,
+                          GravityFilter, Posture, gravity_feature,
                           make_windows)
 from semcom.codec import SEGMENT_FRAMES, Activity
 from semcom.forest import train_forest
 from semcom.synthdata import (ACTIVITY_POSTURE, ACTIVITY_ROOM, BACKGROUND_LEVEL,
                               POSTURE_MEAN_COSINE, ROOMS, WALK_SECONDS,
-                              RoomCamera, Scenario, ScenarioStep,
-                              activity_timeline, demo_scenario,
+                              _ACCEL_STREAM, RoomCamera, Scenario,
+                              ScenarioStep, _rng, activity_timeline,
+                              demo_scenario,
                               gen_accel_trace, gravity_direction,
                               make_codec_dataset, make_posture_dataset,
                               posture_timeline, timeline_seconds)
@@ -167,3 +171,54 @@ class TestVideoGenerator:
         cam = RoomCamera(steady_scenario(Activity.RESTING, 5), "bedroom")
         with pytest.raises(IndexError):
             cam.frame(cam.total_frames)
+
+    def test_negative_frame_rejected(self):
+        # -1 used to wrap to the scenario's last second and render it
+        cam = RoomCamera(demo_scenario(seed=1, dwell_s=5), "living_room")
+        with pytest.raises(IndexError):
+            cam.frame(-1)
+
+    def test_negative_grid_segment_rejected(self):
+        cam = RoomCamera(demo_scenario(seed=1, dwell_s=5), "living_room")
+        with pytest.raises(IndexError):
+            cam.segment_at_grid(-1)
+
+    def test_negative_grid_label_rejected(self):
+        # -1 used to return the last second's (CALLING, 'living_room')
+        cam = RoomCamera(demo_scenario(seed=1, dwell_s=5), "living_room")
+        with pytest.raises(IndexError):
+            cam.segment_label(-1)
+
+
+def per_second_accel_trace(scenario):
+    """gen_accel_trace as it was before it drew the whole trace's noise at
+    once, kept verbatim as the oracle."""
+    postures = posture_timeline(scenario)
+    rng = _rng(scenario.seed, _ACCEL_STREAM)
+    n = len(postures) * WINDOW_SAMPLES
+    xyz = np.empty((n, 3))
+    for sec, posture in enumerate(postures):
+        block = np.tile(gravity_direction(posture), (WINDOW_SAMPLES, 1))
+        if scenario.accel_noise_g > 0:
+            block = block + rng.normal(0.0, scenario.accel_noise_g,
+                                       block.shape)
+        xyz[sec * WINDOW_SAMPLES:(sec + 1) * WINDOW_SAMPLES] = block
+    t = np.arange(n) / SAMPLE_RATE_HZ
+    return AccelTrace(t, xyz), postures
+
+
+class TestAccelTraceOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(list(Activity)), min_size=1, max_size=4),
+           st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_trace_bytes_equal_per_second_draws(self, seed, activities,
+                                                dwell_s, noise_g):
+        steps = tuple(ScenarioStep(a, dwell_s + i)
+                      for i, a in enumerate(activities))
+        scenario = Scenario(steps, seed=seed, accel_noise_g=noise_g)
+        got, got_postures = gen_accel_trace(scenario)
+        want, want_postures = per_second_accel_trace(scenario)
+        assert got.xyz.tobytes() == want.xyz.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got_postures == want_postures
