@@ -11,12 +11,14 @@ moved and why, with the numbers before and after::
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,9 +110,64 @@ def long_simulation_digest():
     return _simulation_digest(6, LONG_SIM_SCENARIO)
 
 
+@functools.lru_cache(maxsize=None)
+def _simulation_internals(seed, scenario):
+    """Digests of what a simulation's report does not show: (the per-second
+    u bytes and posture codes of the accel uplink, the noisy frame and
+    logits of every upload from the room of its activity, in order).
+
+    Only active-room uploads are hashed: an upload is tagged by the ground
+    truth of the grid segment its camera is asked for, and the decode that
+    follows is recorded only when that room films the activity."""
+    u, y = synthdata.make_posture_dataset(80, seed=1)
+    posture_forest = forest.train_forest(u, y, seed=2)
+    stream = hashlib.sha256()
+    uploads = hashlib.sha256()
+    active = [False]
+    posture_stream = simulate.posture_stream
+    segment_at_grid = synthdata.RoomCamera.segment_at_grid
+    decode = simulate.decode
+
+    def recording_stream(*args):
+        u, postures, clamped = posture_stream(*args)
+        stream.update(u.tobytes())
+        stream.update(bytes(int(p) for p in postures))
+        return u, postures, clamped
+
+    def tagging_segment_at_grid(camera, grid_index):
+        label = camera.segment_label(grid_index)
+        active[0] = label is not None and label[1] == camera.room
+        return segment_at_grid(camera, grid_index)
+
+    def recording_decode(model, frame, tape=None):
+        logits, deep = decode(model, frame, tape)
+        if active[0]:
+            uploads.update(frame.symbols.tobytes())
+            uploads.update(np.float64(frame.scale).tobytes())
+            uploads.update(logits.tobytes())
+        active[0] = False
+        return logits, deep
+
+    with mock.patch.object(simulate, "posture_stream", recording_stream), \
+            mock.patch.object(synthdata.RoomCamera, "segment_at_grid",
+                              tagging_segment_at_grid), \
+            mock.patch.object(simulate, "decode", recording_decode):
+        simulate.run_simulation(SimConfig(seed=seed, scenario=scenario),
+                                codec.load_model(CHECKPOINT), posture_forest)
+    return stream.hexdigest(), uploads.hexdigest()
+
+
 DIGESTS = {"train": train_digest, "evaluate": evaluate_digest,
            "simulation": simulation_digest,
-           "simulation_long": long_simulation_digest}
+           "simulation_long": long_simulation_digest,
+           "simulation_posture_stream":
+               lambda: _simulation_internals(4, SIM_SCENARIO)[0],
+           "simulation_long_posture_stream":
+               lambda: _simulation_internals(6, LONG_SIM_SCENARIO)[0],
+           "simulation_active_uploads":
+               lambda: _simulation_internals(4, SIM_SCENARIO)[1],
+           "simulation_long_active_uploads":
+               lambda: _simulation_internals(6, LONG_SIM_SCENARIO)[1]}
 
 
 @pytest.fixture(scope="module")
