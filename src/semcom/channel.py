@@ -58,6 +58,11 @@ class ChannelConfig:
     rng_seed: int = 0
 
 
+def _uniform_shape(n, rows=1):
+    """Shape of the uniform block that gaussian_noise(n, rng, rows) draws."""
+    return rows, 2, (n // rows + 1) // 2
+
+
 def gaussian_noise(n, rng, rows=1):
     """n standard-normal draws via Box-Muller on uniform variates from rng.
 
@@ -65,8 +70,9 @@ def gaussian_noise(n, rng, rows=1):
     consecutive calls for n // rows draws each would return, concatenated.
     """
     per_row = n // rows
-    pairs = (per_row + 1) // 2
-    uniforms = rng.random((rows, 2, pairs))
+    shape = _uniform_shape(n, rows)
+    pairs = shape[2]
+    uniforms = rng.random(shape)
     u1 = 1.0 - uniforms[:, 0]  # (0, 1]: keeps log() finite
     u2 = uniforms[:, 1]
     radius = np.sqrt(-2.0 * np.log(u1))
@@ -127,6 +133,15 @@ class Channel:
             return SymbolFrame(add_noise(frame.symbols, self.snr_db, self._rng),
                                scale=frame.scale)
         return add_noise(frame, self.snr_db, self._rng)
+
+    def skip(self, n_symbols):
+        """Consume the draws that sending one n_symbols frame would take
+        (none at infinite SNR) without sending it, so later frames get the
+        noise they would have had."""
+        if n_symbols < 1:
+            raise ValueError("cannot transmit an empty frame")
+        if not math.isinf(self.snr_db):
+            self._rng.random(_uniform_shape(2 * n_symbols))
 
 
 def measured_snr(clean, noisy):

@@ -41,9 +41,9 @@ def _cmd_gen_data(args):
         for room in synthdata.ROOMS:
             camera = synthdata.RoomCamera(scenario, room)
             for g in range(n_segments):
-                label = camera.segment_label(g)
-                name = ("none" if label is None or label[1] != room
-                        else codec.ACTIVITY_NAMES[label[0]])
+                activity = camera.activity_at_grid(g)
+                name = ("none" if activity is None
+                        else codec.ACTIVITY_NAMES[activity])
                 fh.write(f"{room},{g},{name}\n")
     print(f"wrote accel.csv, postures.csv, segment_labels.csv and "
           f"{len(synthdata.ROOMS)} SEMF streams to {args.out}")

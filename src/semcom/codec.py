@@ -102,7 +102,10 @@ class VideoSegment:
         """Build from (16, H, W, 3) frames; uint8 is scaled by 1/255."""
         frames = np.asarray(frames)
         if frames.dtype == np.uint8:
-            frames = frames.astype(np.float64) / 255.0
+            # channels-first while still 1 byte a pixel: the scaled copy is
+            # then written in order, with the same values
+            return cls(index, np.ascontiguousarray(
+                np.transpose(frames, (3, 0, 1, 2))) / 255.0)
         return cls(index, np.transpose(frames, (3, 0, 1, 2)))
 
 

@@ -12,16 +12,23 @@ noise power, channel draws in frame order, filter state carried across
 blocks, one cosine feature and forest vote per window), so the
 per-second results are bitwise those of one-second steps. The
 controller then walks the stream second by second. A validated postural
-transition dispatches upload commands;
-every commanded camera uploads the current segment from its stride-16
-grid through the video channel, and the decoded classification is
-recorded against ground truth. An upload whose 16 frames would run past
-the end of the scenario is skipped: it is counted in ``skipped_uploads``
-and not billed to N_t.
+transition dispatches upload commands; every commanded camera uploads
+the current segment from its stride-16 grid, and every upload is billed
+to the ledger as N_t. An upload whose 16 frames would run past the end
+of the scenario is skipped: it is counted in ``skipped_uploads`` and not
+billed.
 
-The Table-3-style activity matrix counts only uploads from the room where
-the activity truly occurred (idle rooms film background, which has no
-activity label); uploads themselves are all billed to the ledger as N_t.
+An active-room upload (the room films its own activity in that segment)
+is rendered, encoded, sent through the video channel and decoded, and
+its classification goes into the Table-3-style activity matrix. An
+idle-room upload (walking, or the activity is in another room) films
+background, which has no activity label: it is counted in
+``background_uploads`` and takes the video channel's draws for one
+feature frame, so every later upload gets the noise it would get if the
+clip had been sent, but it is not rendered, encoded or decoded. So the
+channel's all-zero-frame error at finite SNR can come only from an
+active-room upload.
+
 Posture accuracy is reported both raw and over "settled" windows, i.e.
 excluding a configurable margin after each ground-truth posture change
 where the 0.3 Hz gravity filter is still converging.
@@ -38,21 +45,11 @@ from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, AccelTrace,
                     AccelWindow, GravityFilter, Posture, decode_raw,
                     encode_raw, gravity_feature)
 from .channel import Channel
-from .codec import (SEGMENT_FRAMES, Activity, ACTIVITY_NAMES, classify,
-                    decode, encode)
+from .codec import (SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
+                    ACTIVITY_NAMES, classify, decode, encode)
 from .controller import (AckPolicy, TransmissionController, dispatch,
                          format_event)
 from .synthdata import FPS, ROOMS, RoomCamera, gen_accel_trace
-
-
-@dataclass
-class UploadRecord:
-    t: int
-    room: str
-    grid_index: int
-    predicted: Activity
-    truth_activity: object
-    truth_room: object
 
 
 @dataclass
@@ -154,7 +151,12 @@ def run_simulation(cfg, codec_model, forest):
     ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
     ledger.raw_symbols = SYMBOLS_PER_FRAME * len(posture_pred)
 
-    uploads = []
+    # Table-3-style matrix over active-room uploads
+    table = {ACTIVITY_NAMES[a]: {room: {"count": 0, "correct": 0}
+                                 for room in ROOMS} for a in Activity}
+    uploads = 0
+    background = 0
+    truthed_correct = 0
     skipped = 0
     event_lines = []
     for sec, predicted in enumerate(posture_pred):
@@ -172,15 +174,23 @@ def run_simulation(cfg, codec_model, forest):
                     skipped += 1
                     ledger.n_t -= 1
                     continue
+                uploads += 1
+                truth = camera.activity_at_grid(grid)
+                if truth is None:
+                    # nothing reads a background clip's class: take its
+                    # channel draws so later uploads keep their noise
+                    background += 1
+                    video_channel.skip(SYMBOLS_PER_SEGMENT)
+                    continue
                 segment = camera.segment_at_grid(grid)
                 sent = video_channel.send(encode(codec_model, segment))
                 logits, _ = decode(codec_model, sent)
-                label = camera.segment_label(grid)
-                uploads.append(UploadRecord(
-                    t=command.t, room=command.camera, grid_index=grid,
-                    predicted=classify(logits),
-                    truth_activity=None if label is None else label[0],
-                    truth_room=None if label is None else label[1]))
+                activity = classify(logits)
+                cell = table[ACTIVITY_NAMES[activity]][command.camera]
+                cell["count"] += 1
+                if activity == truth:
+                    cell["correct"] += 1
+                    truthed_correct += 1
 
     ledger.n_f = len(ROOMS) * (cameras[ROOMS[0]].total_frames // SEGMENT_FRAMES)
 
@@ -198,30 +208,14 @@ def run_simulation(cfg, codec_model, forest):
                              if n_settled else None),
     }
 
-    # Table-3-style matrix over ground-truthed uploads
-    table = {ACTIVITY_NAMES[a]: {room: {"count": 0, "correct": 0}
-                                 for room in ROOMS} for a in Activity}
-    truthed = 0
-    truthed_correct = 0
-    background = 0
-    for rec in uploads:
-        if rec.truth_activity is None or rec.truth_room != rec.room:
-            background += 1
-            continue
-        truthed += 1
-        cell = table[ACTIVITY_NAMES[rec.predicted]][rec.room]
-        cell["count"] += 1
-        if rec.predicted == rec.truth_activity:
-            cell["correct"] += 1
-            truthed_correct += 1
-
+    truthed = uploads - background
     return SimReport(
         overhead=overhead.report(ledger, scenario="simulation"),
         posture=posture_stats,
         activity_table=table,
         activity_accuracy=(truthed_correct / truthed) if truthed else None,
         n_events=len(controller.events),
-        uploads=len(uploads),
+        uploads=uploads,
         background_uploads=background,
         clamped_samples=clamped,
         event_lines=event_lines,

@@ -338,3 +338,12 @@ class RoomCamera:
         if second >= len(self._timeline):
             return None
         return self._timeline[second]
+
+    def activity_at_grid(self, grid_index):
+        """The activity this room films in grid segment grid_index, or None
+        when the segment shows background: walking, the activity is in
+        another room, or past the scenario end."""
+        label = self.segment_label(grid_index)
+        if label is None or label[1] != self.room:
+            return None
+        return label[0]

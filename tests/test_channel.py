@@ -121,6 +121,35 @@ class TestChannelStream:
         np.testing.assert_array_equal(outs1[0], outs2[0])
 
 
+class TestSkip:
+    """Channel.skip(L) takes the draws of one L-symbol send, so the frames
+    sent after it get the noise they would get after that send."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**32 - 1),
+           st.sampled_from([-3.0, 7.0, 25.0]))
+    def test_skip_then_send_equals_send_then_send(self, n_skipped, n_sent, seed,
+                                                  snr_db):
+        skipping = Channel(snr_db, seed)
+        sending = Channel(snr_db, seed)
+        frame = unit_power_frame(n_sent, seed=1)
+        skipping.skip(n_skipped)
+        sending.send(unit_power_frame(n_skipped, seed=2))
+        got = skipping.send(frame)
+        want = sending.send(frame)
+        assert got.symbols.tobytes() == want.symbols.tobytes()
+        assert got.scale == want.scale
+
+    def test_skip_at_infinite_snr_draws_nothing(self):
+        channel = Channel(math.inf, rng_seed=3)
+        channel.skip(4840)
+        assert channel._rng.random(4).tobytes() == _philox(3).random(4).tobytes()
+
+    def test_empty_skip_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            Channel(10.0).skip(0)
+
+
 class TestGaussianNoise:
     def test_moments(self):
         rng = np.random.default_rng(0)

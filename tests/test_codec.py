@@ -62,6 +62,19 @@ class TestSampling:
         assert seg.frames[0, 0, 1, 2] == 1.0
         assert seg.frames[1, 0, 1, 2] == 0.0
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_uint8_scaling_matches_scale_then_transpose(self, seed):
+        """Transposing the uint8 clip before scaling gives the bytes of the
+        former scale-then-transpose expression, kept verbatim here."""
+        frames = np.random.default_rng(seed).integers(
+            0, 256, (16, 112, 112, 3), dtype=np.uint8)
+        frames[0, 0, 0] = (0, 255, 0)
+        want = np.transpose(frames.astype(np.float64) / 255.0, (3, 0, 1, 2))
+        got = VideoSegment.from_rgb_frames(0, frames).frames
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 class TestEncode:
     def test_symbol_count_and_unit_power(self, model):

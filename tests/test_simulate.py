@@ -1,6 +1,9 @@
 """Simulation-loop tests: ledger double-entry, determinism, the
 no-transition degenerate case, config validation, and the blocked accel
-uplink against the per-second loop it replaced."""
+uplink and the active-room-only uploads against the full-compute
+per-second loop they replaced."""
+import sys
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -23,14 +26,25 @@ from semcom.config import SimConfig, load_config, parse_config_text
 from semcom.controller import (AckPolicy, TransmissionController, dispatch,
                                format_event)
 from semcom.forest import train_forest
-from semcom.simulate import (SimReport, UploadRecord, _derived_seed,
-                             _settled_mask, posture_stream, run_simulation)
+from semcom.simulate import (SimReport, _derived_seed, _settled_mask,
+                             posture_stream, run_simulation)
 from semcom.synthdata import (FPS, ROOMS, WALK_SECONDS, RoomCamera,
                               gen_accel_trace, make_posture_dataset)
 
 
 # The accel uplink as it ran before blocks, one second per step: the raw
-# codec, then the simulation loop, kept verbatim as the oracle.
+# codec, then the simulation loop that also rendered, encoded and decoded
+# every idle-room upload, kept verbatim as the oracle.
+@dataclass
+class UploadRecord:
+    t: int
+    room: str
+    grid_index: int
+    predicted: Activity
+    truth_activity: object
+    truth_room: object
+
+
 def per_frame_encode_raw(trace):
     """Quantize and pack a trace into one 75-symbol frame per full second.
 
@@ -422,6 +436,98 @@ class TestRandomConfigs:
                                           - report.skipped_uploads)
         assert run_simulation(cfg, untrained_codec,
                               posture_forest).to_json() == report.to_json()
+
+
+def decoded_uploads(simulation, cfg, codec_model, forest):
+    """Run simulation(cfg, ...) and return (its result, one record per
+    decode it ran): the room and grid of the upload, whether that room
+    films its own activity there by the ground truth, the noisy frame's
+    symbols and scale, and the logits."""
+    records = []
+    upload = []
+    segment_at_grid = RoomCamera.segment_at_grid
+    original_decode = decode
+
+    def tagging_segment_at_grid(camera, grid_index):
+        label = camera.segment_label(grid_index)
+        upload[:] = [camera.room, grid_index,
+                     label is not None and label[1] == camera.room]
+        return segment_at_grid(camera, grid_index)
+
+    def recording_decode(model, frame, tape=None):
+        logits, deep = original_decode(model, frame, tape)
+        records.append((*upload, frame.symbols.tobytes(), frame.scale,
+                        logits.tobytes()))
+        return logits, deep
+
+    with mock.patch.object(RoomCamera, "segment_at_grid",
+                           tagging_segment_at_grid), \
+            mock.patch.object(simulate, "decode", recording_decode), \
+            mock.patch.object(sys.modules[__name__], "decode",
+                              recording_decode):
+        result = simulation(cfg, codec_model, forest)
+    return result, records
+
+
+# Walking-time ACKs (all rooms idle), then an active kitchen upload after
+# two idle ones in the same broadcast, at a finite video SNR.
+WALKING_EVENTS_CONFIG = """seed = 21
+video_snr_db = 7
+accel_snr_db = inf
+validation_windows = 2
+segments_per_ack = 2
+ack_targets = broadcast
+accel_noise_g = 0.0
+pixel_noise = 0.005
+position_jitter = 4
+scenario = sleeping:8,eating:8"""
+
+SUBSET_NOISELESS_CONFIG = """seed = 22
+video_snr_db = inf
+accel_snr_db = 25
+validation_windows = 3
+segments_per_ack = 3
+ack_targets = kitchen, bedroom
+accel_noise_g = 0.05
+pixel_noise = 0.005
+position_jitter = 2
+scenario = dress-up:6,eating:6,calling:5"""
+
+
+class TestActiveRoomUploads:
+    """Only active-room uploads are rendered, encoded and decoded; each
+    one's noisy frame and logits are bitwise those of the full-compute
+    loop (per_second_simulation above), in the same order, so the idle
+    uploads skipped in between took exactly their channel draws."""
+
+    # each example runs the full-compute oracle: up to ~100 uploads
+    @settings(max_examples=4, deadline=None)
+    @given(config_texts())
+    @example((WALKING_EVENTS_CONFIG, 20, 3, 2))
+    @example((SUBSET_NOISELESS_CONFIG, 25, 2, 3))
+    def test_matches_full_compute_loop(self, posture_forest, untrained_codec,
+                                       drawn):
+        cfg = parse_config_text(drawn[0])
+        (_, _, want), every_upload = decoded_uploads(
+            per_second_simulation, cfg, untrained_codec, posture_forest)
+        got, decoded = decoded_uploads(run_simulation, cfg, untrained_codec,
+                                       posture_forest)
+        active = [record for record in every_upload if record[2]]
+        assert decoded == active
+        assert got.background_uploads == len(every_upload) - len(active)
+        assert got.to_json() == want.to_json()
+
+    def test_walking_example_skips_idle_uploads_before_active_ones(
+            self, posture_forest, untrained_codec):
+        """The first example above exercises the skip: an idle upload
+        precedes an active one at a finite video SNR."""
+        cfg = parse_config_text(WALKING_EVENTS_CONFIG)
+        _, every_upload = decoded_uploads(per_second_simulation, cfg,
+                                          untrained_codec, posture_forest)
+        flags = [record[2] for record in every_upload]
+        assert flags[0] is False and True in flags
+        assert any(record[0] == "kitchen" for record in every_upload
+                   if record[2])
 
 
 @st.composite

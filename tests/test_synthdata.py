@@ -150,6 +150,12 @@ class TestVideoGenerator:
         assert cam.segment_label(grid_eating) == (Activity.EATING, "kitchen")
         walk_grid = (6 * 50) // SEGMENT_FRAMES
         assert cam.segment_label(walk_grid) is None
+        # the kitchen camera films only its own room's activity
+        assert cam.activity_at_grid(0) is None
+        assert cam.activity_at_grid(grid_eating) == Activity.EATING
+        assert cam.activity_at_grid(walk_grid) is None
+        assert cam.activity_at_grid(cam.total_frames // SEGMENT_FRAMES + 1) is None
+        assert RoomCamera(scenario, "bedroom").activity_at_grid(0) == Activity.SLEEPING
 
     def test_codec_dataset_shapes_and_labels(self):
         segments, labels = make_codec_dataset(2, seed=0)
