@@ -7,7 +7,7 @@ acceptance suite.
 """
 
 from .accel import Posture
-from .channel import ChannelConfig, SymbolFrame, measured_snr, transmit
+from .channel import Channel, SymbolFrame, measured_snr
 from .codec import Activity, CodecModel, VideoSegment, classify, decode, encode
 from .controller import AckPolicy, ControlEvent, TransmissionController
 from .forest import RandomForest, train_forest
@@ -15,9 +15,8 @@ from .overhead import OverheadLedger, c_mpeg, c_sc, c_tc
 from .synthdata import Scenario, ScenarioStep
 
 __all__ = [
-    "Activity", "AckPolicy", "ChannelConfig", "CodecModel", "ControlEvent",
+    "Activity", "AckPolicy", "Channel", "CodecModel", "ControlEvent",
     "OverheadLedger", "Posture", "RandomForest", "Scenario", "ScenarioStep",
     "SymbolFrame", "TransmissionController", "VideoSegment", "c_mpeg", "c_sc",
     "c_tc", "classify", "decode", "encode", "measured_snr", "train_forest",
-    "transmit",
 ]

@@ -17,6 +17,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .channel import floats_to_symbols, symbols_to_floats
+
 SAMPLE_RATE_HZ = 50.0
 WINDOW_SAMPLES = 50
 ACCEL_RANGE_G = 4.0          # quantizer domain [-4, +4) g
@@ -27,7 +29,6 @@ _CODE_MIN = -(QUANT_LEVELS // 2)
 _CODE_MAX = QUANT_LEVELS // 2 - 1
 VALUES_PER_FRAME = WINDOW_SAMPLES * 3             # one second of samples
 SYMBOLS_PER_FRAME = VALUES_PER_FRAME // 2
-GRAVITY_DEFAULT = np.array([0.0, 0.0, 1.0])
 DEGENERATE_NORM = 1e-6
 LOWPASS_CUTOFF_HZ = 0.3
 
@@ -40,13 +41,6 @@ class Posture(IntEnum):
 
 
 POSTURE_NAMES = {p: p.name.lower() for p in Posture}
-
-
-def parse_posture(name):
-    try:
-        return Posture[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown posture {name!r}") from None
 
 
 @dataclass
@@ -111,9 +105,9 @@ def encode_raw(trace):
     codes, clamped = quantize(trace.xyz)
     amps = codes_to_amplitudes(codes).reshape(-1)   # sample-major x,y,z
     n_frames = amps.size // VALUES_PER_FRAME
-    pairs = amps[:n_frames * VALUES_PER_FRAME].reshape(
-        n_frames, SYMBOLS_PER_FRAME, 2)
-    return pairs[..., 0] + 1j * pairs[..., 1], clamped
+    values = amps[:n_frames * VALUES_PER_FRAME].reshape(n_frames,
+                                                        VALUES_PER_FRAME)
+    return floats_to_symbols(values), clamped
 
 
 def decode_raw(symbols):
@@ -126,10 +120,8 @@ def decode_raw(symbols):
     if symbols.ndim != 2 or symbols.shape[1] != SYMBOLS_PER_FRAME:
         raise ValueError(f"expected {SYMBOLS_PER_FRAME} symbols per frame in "
                          f"an (n, {SYMBOLS_PER_FRAME}) array, got {symbols.shape}")
-    pairs = np.empty((symbols.shape[0], VALUES_PER_FRAME))
-    pairs[:, 0::2] = symbols.real
-    pairs[:, 1::2] = symbols.imag
-    xyz = dequantize(amplitudes_to_codes(pairs)).reshape(-1, 3)
+    values = symbols_to_floats(symbols)
+    xyz = dequantize(amplitudes_to_codes(values)).reshape(-1, 3)
     t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
     return AccelTrace(t, xyz)
 
@@ -222,13 +214,13 @@ class GravityFeature:
     excluded_columns: int = 0
 
 
-def make_windows(trace):
-    """Cut consecutive disjoint 50-sample windows; a trailing partial is dropped."""
-    n_windows = len(trace) // WINDOW_SAMPLES
-    return [
-        AccelWindow(i, trace.xyz[i * WINDOW_SAMPLES:(i + 1) * WINDOW_SAMPLES].T)
-        for i in range(n_windows)
-    ]
+def window_block(xyz, index=0):
+    """The consecutive disjoint 50-sample windows of (n, 3) samples as one
+    block, the first numbered index; a trailing partial is dropped."""
+    n_windows = len(xyz) // WINDOW_SAMPLES
+    samples = xyz[:n_windows * WINDOW_SAMPLES]
+    return AccelWindow(index, samples.reshape(n_windows, WINDOW_SAMPLES, 3)
+                       .transpose(0, 2, 1))
 
 
 def gravity_feature(window):

@@ -1,8 +1,10 @@
-"""Symbol-level AWGN channel with exact SNR calibration.
+"""Symbol-level AWGN channel with exact SNR calibration: the one float <->
+symbol packing and the one noise path of training, evaluation and links.
 
 Noise power follows sigma^2 = P / 10**(snr_db/10) where P is the measured
-average symbol power of the frame being transmitted; each quadrature gets
-variance sigma^2/2 so the per-symbol complex noise power is sigma^2.
+average symbol power of the frame being sent; each quadrature gets
+variance sigma^2/2 so the per-symbol complex noise power is sigma^2. An
+SNR of +inf is noiseless; NaN and -inf are rejected.
 
 Gaussians come from Box-Muller over a Philox counter-based uniform stream,
 so a given seed reproduces the same noise on any platform.
@@ -14,12 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NOISELESS = math.inf
+
+def floats_to_symbols(values):
+    """Complex symbols from floats, consecutive values along the last axis
+    as (real, imag): a view of the float64 bytes, so -0.0 survives too."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+
+
+def symbols_to_floats(symbols):
+    """Float values from complex symbols, (real, imag) of each symbol as
+    two consecutive values along the last axis; the inverse of
+    :func:`floats_to_symbols`, also a view."""
+    return np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
+
+
+def _mean_power(symbols):
+    """Mean of re^2 + im^2 along the last axis."""
+    return np.mean(symbols.real**2 + symbols.imag**2, axis=-1)
 
 
 @dataclass
 class SymbolFrame:
-    """A sequence of complex channel symbols plus transmit-power metadata.
+    """A sequence of complex channel symbols plus their power scale.
 
     ``scale`` is the amplitude factor divided out during power
     normalization (0.0 for an all-zero frame, where normalization is
@@ -42,20 +60,7 @@ class SymbolFrame:
         """Mean of re^2 + im^2 over the frame."""
         if self.symbols.size == 0:
             return 0.0
-        return float(np.mean(self.symbols.real**2 + self.symbols.imag**2))
-
-    def as_pairs(self):
-        """(L, 2) float64 view of (real, imag) pairs."""
-        out = np.empty((self.symbols.size, 2))
-        out[:, 0] = self.symbols.real
-        out[:, 1] = self.symbols.imag
-        return out
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    snr_db: float
-    rng_seed: int = 0
+        return float(_mean_power(self.symbols))
 
 
 def _uniform_shape(n, rows=1):
@@ -87,6 +92,13 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _noiseless(snr_db):
+    """True at +inf SNR, False at a finite one; NaN and -inf are errors."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+    return snr_db == math.inf
+
+
 def add_noise(symbols, snr_db, rng):
     """Return symbols + AWGN at snr_db relative to their measured power.
 
@@ -97,26 +109,19 @@ def add_noise(symbols, snr_db, rng):
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.size == 0:
-        raise ValueError("cannot transmit an empty frame")
-    if math.isinf(snr_db):
+        raise ValueError("cannot send an empty frame")
+    if _noiseless(snr_db):
         return symbols.copy()
     frames = symbols.reshape(-1, symbols.shape[-1])
-    power = np.mean(frames.real**2 + frames.imag**2, axis=1, keepdims=True)
+    power = _mean_power(frames)[:, None]
     if not power.all():
         raise ValueError(
             "all-zero frame at finite SNR: signal power 0 leaves noise undefined")
     sigma_sq = power / 10.0 ** (snr_db / 10.0)
     std = np.sqrt(sigma_sq / 2.0)
     noise = gaussian_noise(2 * symbols.size, rng, frames.shape[0])
-    noise = noise.reshape(frames.shape[0], -1)
-    noisy = frames + std * (noise[:, 0::2] + 1j * noise[:, 1::2])
+    noisy = frames + std * floats_to_symbols(noise.reshape(frames.shape[0], -1))
     return noisy.reshape(symbols.shape)
-
-
-def transmit(frame, config):
-    """Pass one frame through the AWGN channel; deterministic given the seed."""
-    noisy = add_noise(frame.symbols, config.snr_db, _philox(config.rng_seed))
-    return SymbolFrame(noisy, scale=frame.scale)
 
 
 class Channel:
@@ -139,8 +144,8 @@ class Channel:
         (none at infinite SNR) without sending it, so later frames get the
         noise they would have had."""
         if n_symbols < 1:
-            raise ValueError("cannot transmit an empty frame")
-        if not math.isinf(self.snr_db):
+            raise ValueError("cannot send an empty frame")
+        if not _noiseless(self.snr_db):
             self._rng.random(_uniform_shape(2 * n_symbols))
 
 
@@ -154,11 +159,10 @@ def measured_snr(clean, noisy):
     b = noisy.symbols if isinstance(noisy, SymbolFrame) else np.asarray(noisy)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    p_signal = float(np.mean(a.real**2 + a.imag**2))
+    p_signal = float(_mean_power(a.reshape(-1)))
     if p_signal == 0.0:
         raise ValueError("clean frame has zero power; SNR undefined")
-    diff = b - a
-    p_noise = float(np.mean(diff.real**2 + diff.imag**2))
+    p_noise = float(_mean_power((b - a).reshape(-1)))
     if p_noise == 0.0:
         return math.inf
     return 10.0 * math.log10(p_signal / p_noise)

@@ -69,8 +69,7 @@ def _cmd_train_forest(args):
     u, y = synthdata.make_posture_dataset(args.per_class, seed=args.data_seed)
     model = forest.train_forest(u, y, n_trees=args.trees,
                                 max_depth=args.max_depth, seed=args.seed)
-    acc = float(np.mean([int(model.predict(v)) == int(t)
-                         for v, t in zip(u, y)]))
+    acc = float(np.mean(model.predict(u) == y))
     forest.save_forest(args.out, model)
     print(f"training accuracy {acc:.3f}; saved forest to {args.out}")
     return 0
@@ -143,6 +142,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_eval(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     model = codec.load_model(args.model)
     segments, labels = synthdata.make_codec_dataset(
         args.per_class, seed=args.data_seed)

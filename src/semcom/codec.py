@@ -15,8 +15,10 @@ feature 8x1x5x5 -> linear 200->5 logits.
 Both halves are one layer graph (:meth:`CodecModel.graph`), power
 normalization and de-normalization included: forward runs it in order and
 backward, from the same graph, in reverse. Training runs end to end
-through the AWGN channel with fresh noise per sample per step; the noise
-addition backpropagates as identity while the power normalization is
+through the AWGN channel with fresh noise per sample per step, drawn by
+:func:`channel.add_noise` as in evaluation and the simulated links (noise
+referenced to the frame's measured power); the noise addition
+backpropagates as identity while the power normalization is
 differentiated exactly. Parameters are kept on the float32 grid after
 every update so checkpoints round-trip bitwise.
 
@@ -36,7 +38,9 @@ from enum import IntEnum
 import numpy as np
 
 from . import channel, weights_io
-from .channel import SymbolFrame, gaussian_noise
+# gaussian_noise stays importable here: bench/spans.py patches codec's name
+from .channel import (SymbolFrame, _philox, floats_to_symbols, gaussian_noise,
+                      symbols_to_floats)
 from .tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
                      ReLU, Reshape, ShapeError, Tape, lr_schedule, sgd_step,
                      softmax_cross_entropy)
@@ -135,11 +139,14 @@ class PowerNorm:
         return []
 
     def forward(self, flat, tape=None):
+        if flat.shape != (FEATURE_ELEMS,):
+            raise ShapeError(
+                f"expected a flat feature of {FEATURE_ELEMS} elements, "
+                f"got {flat.shape}")
         s, sigma = power_normalize(flat)
         if tape is not None:
             tape.put(self, (s, sigma))
-        pairs = s.reshape(SYMBOLS_PER_SEGMENT, 2)
-        return SymbolFrame(pairs[:, 0] + 1j * pairs[:, 1], scale=sigma)
+        return SymbolFrame(floats_to_symbols(s), scale=sigma)
 
     def backward(self, upstream, tape, need_input_grad=True):
         grad_received, grad_sigma, sigma = upstream
@@ -164,7 +171,7 @@ class PowerDenorm:
         if len(frame) != SYMBOLS_PER_SEGMENT:
             raise ValueError(
                 f"expected {SYMBOLS_PER_SEGMENT} symbols, got {len(frame)}")
-        received = frame.as_pairs().reshape(-1)
+        received = symbols_to_floats(frame.symbols)
         if tape is not None:
             tape.put(self, (received, frame.scale))
         return received * frame.scale
@@ -275,15 +282,8 @@ def sample_gradients(model, segment, label, snr_db, noise_rng):
     frame = encode(model, segment, tape)
     if frame.scale == 0.0:
         raise ValueError("all-zero feature during training; cannot normalize")
-    if math.isinf(snr_db):
-        noisy = frame
-    else:
-        sigma_sq = 1.0 / 10.0 ** (snr_db / 10.0)   # unit power after normalization
-        std = math.sqrt(sigma_sq / 2.0)
-        noise = gaussian_noise(2 * SYMBOLS_PER_SEGMENT, noise_rng)
-        noisy = SymbolFrame(
-            frame.symbols + std * (noise[0::2] + 1j * noise[1::2]),
-            scale=frame.scale)
+    noisy = SymbolFrame(channel.add_noise(frame.symbols, snr_db, noise_rng),
+                        scale=frame.scale)
     logits, _ = decode(model, noisy, tape)
     one_hot = np.zeros(N_ACTIVITIES)
     one_hot[int(label)] = 1.0
@@ -332,8 +332,8 @@ def train(model, segments, labels, snr_train_db, config=None):
     if len(segments) != len(labels):
         raise ValueError("segments and labels must align")
     labels = [int(v) for v in labels]
-    shuffle_rng = np.random.Generator(np.random.Philox(key=np.uint64(config.shuffle_seed)))
-    noise_rng = np.random.Generator(np.random.Philox(key=np.uint64(config.noise_seed)))
+    shuffle_rng = _philox(config.shuffle_seed)
+    noise_rng = _philox(config.noise_seed)
     order = np.arange(len(segments))
     params = model.params()
     history = []
@@ -392,7 +392,7 @@ def evaluate(model, segments, labels, snr_db, noise_seed=0):
     """
     if len(segments) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    noise_rng = np.random.Generator(np.random.Philox(key=np.uint64(noise_seed)))
+    noise_rng = _philox(noise_seed)
     # encode is a pure function of the frames and these bytes, so equal
     # keys give bit-identical SymbolFrames
     key = model.enc_conv.weights.tobytes() + model.enc_conv.bias.tobytes()

@@ -167,6 +167,8 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got {n_trees}")
     if u.size == 0:
         raise ValueError("cannot train a forest on an empty feature set")
     if u.shape != y.shape:

@@ -30,7 +30,7 @@ class OverheadLedger:
 
     L: symbols per video feature frame; n_f: feature frames available;
     n_t: feature uploads actually commanded; n_b: reference compressed
-    video size in bits; raw_symbols: accelerometer symbols transmitted.
+    video size in bits; raw_symbols: accelerometer symbols sent.
     """
 
     L: int = SYMBOLS_PER_FEATURE

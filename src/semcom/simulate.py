@@ -42,8 +42,8 @@ import numpy as np
 
 from . import overhead
 from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, AccelTrace,
-                    AccelWindow, GravityFilter, Posture, decode_raw,
-                    encode_raw, gravity_feature)
+                    GravityFilter, Posture, decode_raw, encode_raw,
+                    gravity_feature, window_block)
 from .channel import Channel
 from .codec import (SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
                     ACTIVITY_NAMES, classify, decode, encode)
@@ -127,9 +127,8 @@ def posture_stream(trace, accel_channel, forest):
             AccelTrace(trace.t[rows], trace.xyz[rows]))
         clamped += block_clamped
         received = decode_raw(accel_channel.send(symbols))
-        filtered = gravity.process(received.xyz)
-        windows = filtered.reshape(-1, WINDOW_SAMPLES, 3).transpose(0, 2, 1)
-        feature = gravity_feature(AccelWindow(start, windows))
+        feature = gravity_feature(
+            window_block(gravity.process(received.xyz), start))
         u[start:stop] = feature.u
         postures.extend(_POSTURES[code]
                         for code in forest.predict(feature.u).tolist())

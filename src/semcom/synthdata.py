@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, AccelTrace, GravityFilter,
-                    Posture, gravity_feature, make_windows)
+                    Posture, gravity_feature, window_block)
 from .codec import (FRAME_HEIGHT, FRAME_WIDTH, SEGMENT_FRAMES, Activity,
                     VideoSegment)
 
@@ -242,22 +242,19 @@ def make_codec_dataset(n_per_class, seed=0, pixel_noise=0.005,
 
 
 def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
-    """(u, label) pairs from steady single-posture traces via the full
-    filter/window/feature chain."""
-    us, labels = [], []
+    """(u, label) pairs from steady single-posture traces via the gravity
+    filter and the window-block feature path the simulated uplink runs."""
+    us = []
     rng = _rng(seed, _ACCEL_STREAM, _DATASET_STREAM)
     for posture in Posture:
         direction = gravity_direction(posture)
         xyz = np.tile(direction, (n_per_class * WINDOW_SAMPLES, 1))
         if accel_noise_g > 0:
             xyz = xyz + rng.normal(0.0, accel_noise_g, xyz.shape)
-        t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
-        filt = GravityFilter()
-        filtered = AccelTrace(t, filt.process(xyz))
-        for window in make_windows(filtered):
-            us.append(gravity_feature(window).u)
-            labels.append(int(posture))
-    return np.array(us), np.array(labels, dtype=np.int64)
+        us.append(gravity_feature(
+            window_block(GravityFilter().process(xyz))).u)
+    labels = np.repeat(np.arange(len(Posture), dtype=np.int64), n_per_class)
+    return np.concatenate(us), labels
 
 
 class RoomCamera:

@@ -12,7 +12,7 @@ from semcom.accel import (DEGENERATE_NORM, QUANT_LEVELS, QUANT_STEP,
                           GravityFilter, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
-                          make_windows, quantize,
+                          quantize, window_block,
                           read_trace_csv, write_trace_csv)
 
 
@@ -221,20 +221,23 @@ class TestGravityFilterDesign:
 
 class TestWindows:
     def test_500_samples_10_windows(self):
-        assert len(make_windows(trace_of(np.zeros((500, 3))))) == 10
+        assert window_block(np.zeros((500, 3))).G.shape == (10, 3, 50)
 
     def test_49_samples_no_window(self):
-        assert len(make_windows(trace_of(np.zeros((49, 3))))) == 0
+        block = window_block(np.zeros((49, 3)))
+        assert block.G.shape == (0, 3, 50)
+        assert gravity_feature(block).u.shape == (0,)
 
     def test_video_aligned_trace(self):
         # 29,640 samples = 592.8 s at 50 Hz
-        windows = make_windows(trace_of(np.zeros((29640, 3))))
-        assert len(windows) == 592
+        block = window_block(np.zeros((29640, 3)))
+        assert block.G.shape[0] == 592
 
     def test_window_contents(self):
         xyz = np.arange(100 * 3, dtype=np.float64).reshape(100, 3)
-        windows = make_windows(trace_of(xyz))
-        np.testing.assert_array_equal(windows[1].G, xyz[50:100].T)
+        block = window_block(xyz, index=7)
+        assert block.index == 7
+        np.testing.assert_array_equal(block.G[1], xyz[50:100].T)
 
 
 class TestGravityFeature:
@@ -297,7 +300,7 @@ def single_window_feature(window):
     return GravityFeature(window.index, float(np.mean(cosines)), n_excluded)
 
 
-def window_block(seed, n):
+def random_windows(seed, n):
     rng = np.random.default_rng(seed)
     return (rng.normal(0.0, rng.uniform(0.01, 2.0), (n, 3, 50))
             + rng.normal(0.0, 1.0, (n, 3, 1)))
@@ -321,17 +324,17 @@ class TestGravityFeatureBlock:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
     def test_block_equals_single_windows(self, seed, n):
-        self.assert_matches_windows(seed % 1000, window_block(seed, n))
+        self.assert_matches_windows(seed % 1000, random_windows(seed, n))
 
     def test_planted_degenerate_column(self):
-        G = window_block(4, 9)
+        G = random_windows(4, 9)
         G[5, :, 17] = 0.0
         G[5, :, 40] = DEGENERATE_NORM / 4
         got = self.assert_matches_windows(100, G)
         assert got.excluded_columns.tolist() == [0] * 5 + [2] + [0] * 3
 
     def test_all_degenerate_window_names_its_index(self):
-        G = window_block(5, 6)
+        G = random_windows(5, 6)
         G[4] = 0.0
         with pytest.raises(ValueError, match="window 104: all columns degenerate"):
             gravity_feature(AccelWindow(100, G))

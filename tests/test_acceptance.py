@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from semcom.accel import AccelWindow, Posture, gravity_feature
-from semcom.channel import ChannelConfig, measured_snr, transmit
+from semcom.channel import Channel, measured_snr
 from semcom.cli import main as cli_main
 from semcom.codec import (DEEP_FEATURE_SHAPE, SYMBOLS_PER_SEGMENT, CodecModel,
                           TrainConfig, VideoSegment, decode, encode,
@@ -151,7 +151,7 @@ class TestCriterion5Channel:
         frame = SymbolFrame(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
         worst = 0.0
         for snr_db in (7.0, 13.0, 19.0, 25.0):
-            out = transmit(frame, ChannelConfig(snr_db, 100 + int(snr_db)))
+            out = Channel(snr_db, 100 + int(snr_db)).send(frame)
             measured = measured_snr(frame, out)
             worst = max(worst, abs(measured - snr_db))
             assert measured == pytest.approx(snr_db, abs=0.1)

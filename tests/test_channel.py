@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.channel import (Channel, ChannelConfig, SymbolFrame, _philox,
-                            add_noise, gaussian_noise, measured_snr, transmit)
+from semcom.channel import (Channel, SymbolFrame, _philox, add_noise,
+                            floats_to_symbols, gaussian_noise, measured_snr,
+                            symbols_to_floats)
 
 
 def unit_power_frame(n, seed=0):
@@ -20,13 +21,13 @@ def unit_power_frame(n, seed=0):
 class TestTransmit:
     def test_noiseless_is_identity(self):
         frame = unit_power_frame(1000)
-        out = transmit(frame, ChannelConfig(math.inf, 42))
+        out = Channel(math.inf, 42).send(frame)
         np.testing.assert_array_equal(out.symbols, frame.symbols)
         assert out.scale == frame.scale
 
     def test_monte_carlo_noise_power_at_7db(self):
         frame = unit_power_frame(10**6)
-        out = transmit(frame, ChannelConfig(7.0, 17))
+        out = Channel(7.0, 17).send(frame)
         diff = out.symbols - frame.symbols
         noise_power = float(np.mean(diff.real**2 + diff.imag**2))
         expected = 10.0 ** (-0.7)
@@ -34,26 +35,26 @@ class TestTransmit:
 
     def test_same_seed_identical_different_seed_differs(self):
         frame = unit_power_frame(1000)
-        a = transmit(frame, ChannelConfig(10.0, 5))
-        b = transmit(frame, ChannelConfig(10.0, 5))
-        c = transmit(frame, ChannelConfig(10.0, 6))
+        a = Channel(10.0, 5).send(frame)
+        b = Channel(10.0, 5).send(frame)
+        c = Channel(10.0, 6).send(frame)
         np.testing.assert_array_equal(a.symbols, b.symbols)
         assert np.any(a.symbols != c.symbols)
 
     def test_input_frame_unmodified(self):
         frame = unit_power_frame(256)
         before = frame.symbols.copy()
-        transmit(frame, ChannelConfig(5.0, 1))
+        Channel(5.0, 1).send(frame)
         np.testing.assert_array_equal(frame.symbols, before)
 
     def test_zero_frame_finite_snr_rejected(self):
         frame = SymbolFrame(np.zeros(16, dtype=np.complex128))
         with pytest.raises(ValueError, match="zero"):
-            transmit(frame, ChannelConfig(10.0, 0))
+            Channel(10.0, 0).send(frame)
 
     def test_zero_frame_noiseless_ok(self):
         frame = SymbolFrame(np.zeros(16, dtype=np.complex128))
-        out = transmit(frame, ChannelConfig(math.inf, 0))
+        out = Channel(math.inf, 0).send(frame)
         np.testing.assert_array_equal(out.symbols, frame.symbols)
 
     def test_empty_frame_rejected(self):
@@ -64,7 +65,7 @@ class TestTransmit:
     def test_noise_mean_and_signal_correlation(self):
         n = 10**6
         frame = unit_power_frame(n, seed=3)
-        out = transmit(frame, ChannelConfig(13.0, 23))
+        out = Channel(13.0, 23).send(frame)
         noise = out.symbols - frame.symbols
         components = np.concatenate([noise.real, noise.imag])
         sigma = math.sqrt(10.0 ** (-1.3) / 2.0)
@@ -77,7 +78,7 @@ class TestTransmit:
         # measured P per frame: tripling the amplitude triples noise std
         rng = np.random.default_rng(4)
         base = SymbolFrame(3.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 10**5)))
-        out = transmit(base, ChannelConfig(10.0, 9))
+        out = Channel(10.0, 9).send(base)
         diff = out.symbols - base.symbols
         noise_power = float(np.mean(diff.real**2 + diff.imag**2))
         expected = 9.0 * 10.0 ** (-1.0)
@@ -88,7 +89,7 @@ class TestMeasuredSnr:
     @pytest.mark.parametrize("snr_db", [7.0, 13.0, 19.0, 25.0])
     def test_calibration_grid(self, snr_db):
         frame = unit_power_frame(10**6, seed=int(snr_db))
-        out = transmit(frame, ChannelConfig(snr_db, 1000 + int(snr_db)))
+        out = Channel(snr_db, 1000 + int(snr_db)).send(frame)
         assert measured_snr(frame, out) == pytest.approx(snr_db, abs=0.1)
 
     def test_identical_frames_infinite(self):
@@ -167,14 +168,55 @@ class TestSymbolFrame:
         frame = SymbolFrame(np.array([3 + 4j, 0 + 0j]))
         assert frame.avg_power == pytest.approx(12.5)
 
-    def test_as_pairs_layout(self):
-        frame = SymbolFrame(np.array([1 + 2j, 3 - 4j]))
-        np.testing.assert_array_equal(frame.as_pairs(),
-                                      [[1.0, 2.0], [3.0, -4.0]])
-
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             SymbolFrame(np.zeros((2, 2), dtype=np.complex128))
+
+
+class TestPacking:
+    """floats_to_symbols and symbols_to_floats: the one float <-> symbol
+    conversion of the encoder, the decoder, the raw accel codec and the
+    channel's noise."""
+
+    def test_pair_layout(self):
+        symbols = np.array([1 + 2j, 3 - 4j])
+        np.testing.assert_array_equal(symbols_to_floats(symbols),
+                                      [1.0, 2.0, 3.0, -4.0])
+        np.testing.assert_array_equal(
+            floats_to_symbols([[1.0, 2.0, 3.0, -4.0]]), [[1 + 2j, 3 - 4j]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1,
+                    max_size=40).map(lambda v: v + v[:len(v) % 2]),
+           st.integers(0, 2**32 - 1))
+    def test_byte_round_trip(self, values, seed):
+        """Every float64 survives floats -> symbols -> floats byte for byte,
+        -0.0 included, in either part of a symbol and in a block."""
+        rng = np.random.default_rng(seed)
+        values = np.array(values)
+        values[rng.integers(values.size)] = -0.0
+        symbols = floats_to_symbols(values)
+        assert symbols.shape == (values.size // 2,)
+        assert symbols_to_floats(symbols).tobytes() == values.tobytes()
+        block = values.reshape(2, -1) if values.size % 4 == 0 else values[None]
+        assert symbols_to_floats(floats_to_symbols(block)).tobytes() == \
+            block.tobytes()
+        assert floats_to_symbols(symbols_to_floats(symbols)).tobytes() == \
+            symbols.tobytes()
+
+
+class TestBadSnr:
+    """NaN and -inf SNRs are errors, not silent noiseless or NaN links."""
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_send_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR"):
+            Channel(snr_db, 0).send(unit_power_frame(16))
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_skip_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR"):
+            Channel(snr_db, 0).skip(16)
 
 
 def per_frame_gaussian_noise(n, rng):

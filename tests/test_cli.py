@@ -123,3 +123,48 @@ class TestDataAndEval:
     def test_eval_missing_model(self, capsys):
         assert main(["eval", "--model", "nope.semw"]) == 1
         assert "file not found" in capsys.readouterr().err
+
+
+class TestDegenerateArguments:
+    """Arguments that once ran to a nonsense artifact and exit 0 now fail
+    with a one-line diagnostic and write nothing."""
+
+    @staticmethod
+    def assert_one_line_error(capsys, fragment):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_train_codec_bad_snr(self, tmp_path, capsys, snr):
+        out = tmp_path / "codec.semw"
+        assert main(["train-codec", "--per-class", "1", "--epochs", "1",
+                     f"--snr-train={snr}", "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "SNR")
+        assert not out.exists()
+
+    def test_eval_zero_seeds(self, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", "unused.semw", "--seeds", "0",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "--seeds")
+        assert not out.exists()
+
+    def test_train_forest_zero_trees(self, tmp_path, capsys):
+        out = tmp_path / "forest.semw"
+        assert main(["train-forest", "--per-class", "5", "--trees", "0",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "tree")
+        assert not out.exists()
+
+    def test_train_forest_accuracy_is_per_feature_vote(self, tmp_path, capsys):
+        from semcom.forest import load_forest
+        from semcom.synthdata import make_posture_dataset
+        out = tmp_path / "forest.semw"
+        assert main(["train-forest", "--per-class", "20", "--trees", "3",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        forest = load_forest(out)
+        u, y = make_posture_dataset(20, seed=0)
+        acc = sum(int(forest.predict(v)) == int(t) for v, t in zip(u, y))
+        assert f"training accuracy {acc / len(u):.3f};" in printed

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom import codec
-from semcom.channel import ChannelConfig, SymbolFrame, transmit
+from semcom.channel import (Channel, SymbolFrame, _philox, add_noise,
+                            floats_to_symbols, symbols_to_floats)
 from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           SYMBOLS_PER_SEGMENT, Activity, CodecModel,
                           TrainConfig, VideoSegment, classify, decode, encode,
@@ -92,9 +93,7 @@ class TestEncode:
         segment = random_segment(13)
         tape_frame = encode(model, segment)
         # invert the reshape: interleave (real, imag) back row-major
-        flat = np.empty(2 * SYMBOLS_PER_SEGMENT)
-        flat[0::2] = tape_frame.symbols.real
-        flat[1::2] = tape_frame.symbols.imag
+        flat = symbols_to_floats(tape_frame.symbols)
         # reference: the unfused encoder with the model's weights
         feature = with_reference_encoder(model).enc_conv.forward(segment.frames)
         expected, sigma = power_normalize(feature.reshape(-1))
@@ -117,12 +116,12 @@ class TestEncode:
     def test_pair_mapping_is_bijective(self, seed):
         rng = np.random.default_rng(seed)
         feature = rng.standard_normal(2 * SYMBOLS_PER_SEGMENT)
-        pairs = feature.reshape(SYMBOLS_PER_SEGMENT, 2)
-        symbols = pairs[:, 0] + 1j * pairs[:, 1]
-        back = np.empty_like(feature)
-        back[0::2] = symbols.real
-        back[1::2] = symbols.imag
-        np.testing.assert_array_equal(back, feature)
+        feature[rng.integers(feature.size, size=8)] = -0.0
+        symbols = floats_to_symbols(feature)
+        assert symbols.shape == (SYMBOLS_PER_SEGMENT,)
+        np.testing.assert_array_equal(symbols.real, feature[0::2])
+        np.testing.assert_array_equal(symbols.imag, feature[1::2])
+        assert symbols_to_floats(symbols).tobytes() == feature.tobytes()
 
     def test_wrong_shape_rejected(self, model):
         with pytest.raises(Exception):
@@ -139,7 +138,7 @@ class TestDecode:
     def test_noiseless_loopback_bitwise(self, model):
         segment = random_segment(3)
         frame = encode(model, segment)
-        received = transmit(frame, ChannelConfig(math.inf, 0))
+        received = Channel(math.inf, 0).send(frame)
         logits_channel, _ = decode(model, received)
         logits_direct = forward_logits(model, segment)
         np.testing.assert_array_equal(logits_channel, logits_direct)
@@ -234,6 +233,26 @@ class TestGradientPath:
                 numeric = (lp - lm) / (2 * eps)
                 denom = max(abs(flat_g[idx]), abs(numeric), 1e-8)
                 assert abs(flat_g[idx] - numeric) / denom < 1e-4
+
+    def test_training_noise_is_the_channel_noise(self, monkeypatch):
+        """At 13 dB, sample_gradients decodes exactly the frame that
+        channel.add_noise makes of the clean encode with the same stream."""
+        model = CodecModel(seed=3)
+        segment = random_segment(7)
+        decoded = []
+        original = codec.decode
+
+        def recorded(model, frame, tape=None):
+            decoded.append(frame)
+            return original(model, frame, tape)
+        monkeypatch.setattr(codec, "decode", recorded)
+        sample_gradients(model, segment, 2, 13.0, _philox(5))
+        monkeypatch.undo()
+        clean = encode(model, segment)
+        want = add_noise(clean.symbols, 13.0, _philox(5))
+        assert len(decoded) == 1
+        assert decoded[0].symbols.tobytes() == want.tobytes()
+        assert decoded[0].scale == clean.scale
 
     def test_identical_samples_share_gradient_noiselessly(self):
         model = CodecModel(seed=6)

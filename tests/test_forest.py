@@ -109,6 +109,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train_forest(np.array([]), np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        u, y = clusters([-0.5, 0.5, 0.8, 0.95], 0.05, 5, seed=2)
+        with pytest.raises(ValueError, match="at least one tree"):
+            train_forest(u, y, n_trees=n_trees)
+
     def test_determinism(self):
         u, y = clusters([-0.5, 0.5, 0.8, 0.95], 0.05, 20, seed=2)
         f1 = train_forest(u, y, seed=77)

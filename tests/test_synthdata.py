@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom.accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, AccelTrace,
-                          GravityFilter, Posture, gravity_feature,
-                          make_windows)
+                          AccelWindow, GravityFilter, Posture,
+                          gravity_feature, window_block)
 from semcom.codec import SEGMENT_FRAMES, Activity
 from semcom.forest import train_forest
 from semcom.synthdata import (ACTIVITY_POSTURE, ACTIVITY_ROOM, BACKGROUND_LEVEL,
                               POSTURE_MEAN_COSINE, ROOMS, WALK_SECONDS,
-                              _ACCEL_STREAM, RoomCamera, Scenario,
+                              _ACCEL_STREAM, _DATASET_STREAM, RoomCamera,
+                              Scenario,
                               ScenarioStep, _rng, activity_timeline,
                               demo_scenario,
                               gen_accel_trace, gravity_direction,
@@ -66,12 +67,11 @@ class TestAccelGenerator:
                 continue
             scenario = steady_scenario(activity, 5, accel_noise_g=0.0)
             trace, truth = gen_accel_trace(scenario)
-            filt = GravityFilter()
-            filtered = AccelTrace(trace.t, filt.process(trace.xyz))
-            for window in make_windows(filtered):
-                u = gravity_feature(window).u
-                assert u == pytest.approx(POSTURE_MEAN_COSINE[posture],
-                                          abs=1e-9)
+            filtered = GravityFilter().process(trace.xyz)
+            u = gravity_feature(window_block(filtered)).u
+            assert u.shape == (len(truth),)
+            np.testing.assert_allclose(u, POSTURE_MEAN_COSINE[posture],
+                                       rtol=0, atol=1e-9)
 
     def test_standing_mean_within_tolerance_at_default_noise(self):
         u, y = make_posture_dataset(200, seed=5)
@@ -89,12 +89,9 @@ class TestAccelGenerator:
         forest = train_forest(u, y, seed=2)
         scenario = steady_scenario(Activity.SLEEPING, 60)
         trace, truth = gen_accel_trace(scenario)
-        filt = GravityFilter()
-        filtered = AccelTrace(trace.t, filt.process(trace.xyz))
-        predictions = [forest.predict(gravity_feature(w).u)
-                       for w in make_windows(filtered)]
-        assert len(predictions) == 60
-        assert all(p == Posture.LYING for p in predictions)
+        filtered = GravityFilter().process(trace.xyz)
+        predictions = forest.predict(gravity_feature(window_block(filtered)).u)
+        assert predictions.tolist() == [int(Posture.LYING)] * 60
         assert truth == [Posture.LYING] * 60
 
     def test_gravity_direction_is_unit_with_exact_cosine(self):
@@ -228,3 +225,33 @@ class TestAccelTraceOracle:
         assert got.xyz.tobytes() == want.xyz.tobytes()
         assert got.t.tobytes() == want.t.tobytes()
         assert got_postures == want_postures
+
+
+def per_window_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
+    """make_posture_dataset as it was before it ran the window-block
+    feature path, one AccelWindow per second, kept as the oracle."""
+    us, labels = [], []
+    rng = _rng(seed, _ACCEL_STREAM, _DATASET_STREAM)
+    for posture in Posture:
+        direction = gravity_direction(posture)
+        xyz = np.tile(direction, (n_per_class * WINDOW_SAMPLES, 1))
+        if accel_noise_g > 0:
+            xyz = xyz + rng.normal(0.0, accel_noise_g, xyz.shape)
+        filtered = GravityFilter().process(xyz)
+        for i in range(n_per_class):
+            window = AccelWindow(
+                i, filtered[i * WINDOW_SAMPLES:(i + 1) * WINDOW_SAMPLES].T)
+            us.append(gravity_feature(window).u)
+            labels.append(int(posture))
+    return np.array(us), np.array(labels, dtype=np.int64)
+
+
+class TestPostureDatasetOracle:
+    @pytest.mark.parametrize("n_per_class, seed", [(80, 1), (60, 0), (5, 3),
+                                                   (0, 2)])
+    def test_bytes_equal_per_window_features(self, n_per_class, seed):
+        got_u, got_y = make_posture_dataset(n_per_class, seed=seed)
+        want_u, want_y = per_window_posture_dataset(n_per_class, seed=seed)
+        assert got_u.dtype == want_u.dtype and got_y.dtype == want_y.dtype
+        assert got_u.tobytes() == want_u.tobytes()
+        assert got_y.tobytes() == want_y.tobytes()
