@@ -31,6 +31,7 @@ VALUES_PER_FRAME = WINDOW_SAMPLES * 3             # one second of samples
 SYMBOLS_PER_FRAME = VALUES_PER_FRAME // 2
 DEGENERATE_NORM = 1e-6
 LOWPASS_CUTOFF_HZ = 0.3
+FILTER_BLOCK = 64          # gravity filter block, in samples
 
 
 class Posture(IntEnum):
@@ -144,13 +145,43 @@ class GravityFilter:
 
     State warm-starts at the steady-state response of the first sample, so
     constant inputs pass through with no startup transient.
+
+    The stream is filtered in blocks of FILTER_BLOCK samples on a fixed
+    grid counted from its first sample. Each block's response is its
+    zero-state response plus the responses to its start state, which a
+    2x2 matrix carries from block to block. Only elementwise numpy
+    operations touch the samples, and each one rounds alike whatever the
+    array's shape, so the output has the same bytes however the stream is
+    cut into chunks: the samples of the open last block are kept, and that
+    block is recomputed from its start state on the next call.
     """
 
     def __init__(self, cutoff_hz=LOWPASS_CUTOFF_HZ, fs=SAMPLE_RATE_HZ, n_axes=3):
         self.b, self.a = butterworth_lowpass_coeffs(cutoff_hz, fs)
         self.n_axes = n_axes
-        self._z1 = None
+        # one zero block from the unit start states (z1, z2) = (1, 0) and
+        # (0, 1): each sample's response to a block's start state, and the
+        # rows of the 2x2 matrix that carries it to the next block's
+        self._unit_y, end_z1, end_z2 = self._run(
+            np.zeros((FILTER_BLOCK, 2)), np.array([1.0, 0.0]),
+            np.array([0.0, 1.0]))
+        self._carry = (end_z1.tolist(), end_z2.tolist())
+        self._z1 = None      # start state of the open block, per axis
         self._z2 = None
+        self._open = np.empty((0, n_axes))   # samples of the open block
+
+    def _run(self, x, z1, z2):
+        """Run the recurrence along axis 0 of x from state (z1, z2);
+        returns the outputs and the end state."""
+        b0, b1, b2 = self.b
+        a1, a2 = self.a[1], self.a[2]
+        y = np.empty_like(x)
+        for i in range(x.shape[0]):
+            xi = x[i]
+            yi = y[i] = b0 * xi + z1
+            z1 = b1 * xi - a1 * yi + z2
+            z2 = b2 * xi - a2 * yi
+        return y, z1, z2
 
     def _warm_start(self, x0):
         b, a = self.b, self.a
@@ -164,29 +195,42 @@ class GravityFilter:
             chunk = chunk[:, None] if self.n_axes == 1 else chunk[None, :]
         if chunk.shape[1] != self.n_axes:
             raise ValueError(f"expected {self.n_axes} axes, got {chunk.shape[1]}")
-        out = np.empty_like(chunk)
         if chunk.shape[0] == 0:
-            return out
+            return np.empty_like(chunk)
         if self._z1 is None:
             self._warm_start(chunk[0])
-        # one axis at a time on Python floats: the same IEEE operations in
-        # the same order as the vector recurrence, without per-sample numpy;
-        # only one axis of a long chunk is held as Python floats at a time
-        b0, b1, b2 = (float(v) for v in self.b)
-        a1, a2 = float(self.a[1]), float(self.a[2])
+        held = len(self._open)
+        n = held + len(chunk)
+        n_full = n // FILTER_BLOCK
+        blocks = np.zeros((-(-n // FILTER_BLOCK), FILTER_BLOCK, self.n_axes))
+        samples = blocks.reshape(-1, self.n_axes)
+        samples[:held] = self._open
+        samples[held:n] = chunk
+        # zero-state run, step i on sample i of every block at once
+        zero = np.zeros((len(blocks), self.n_axes))
+        y, end_z1, end_z2 = self._run(
+            np.ascontiguousarray(blocks.transpose(1, 0, 2)), zero, zero)
+        # block start states, block by block on Python floats
+        (m11, m12), (m21, m22) = self._carry
+        start_z1 = np.empty_like(zero)
+        start_z2 = np.empty_like(zero)
         z1s, z2s = self._z1.tolist(), self._z2.tolist()
         for axis in range(self.n_axes):
             z1, z2 = z1s[axis], z2s[axis]
-            ys = []
-            for x in chunk[:, axis].tolist():
-                y = b0 * x + z1
-                z1 = b1 * x - a1 * y + z2
-                z2 = b2 * x - a2 * y
-                ys.append(y)
-            out[:, axis] = ys
+            s1, s2 = [z1], [z2]
+            for e1, e2 in zip(end_z1[:n_full, axis].tolist(),
+                              end_z2[:n_full, axis].tolist()):
+                z1, z2 = e1 + (m11 * z1 + m12 * z2), e2 + (m21 * z1 + m22 * z2)
+                s1.append(z1)
+                s2.append(z2)
+            start_z1[:, axis] = s1[:len(blocks)]
+            start_z2[:, axis] = s2[:len(blocks)]
             z1s[axis], z2s[axis] = z1, z2
+        y += self._unit_y[:, None, 0:1] * start_z1
+        y += self._unit_y[:, None, 1:2] * start_z2
         self._z1, self._z2 = np.array(z1s), np.array(z2s)
-        return out
+        self._open = samples[n_full * FILTER_BLOCK:n].copy()
+        return y.transpose(1, 0, 2).reshape(-1, self.n_axes)[held:n]
 
 
 @dataclass

@@ -99,8 +99,8 @@ def _cmd_overhead(args):
         ledger = overhead.OverheadLedger(L=args.L, n_f=args.n_f,
                                          n_t=args.n_t, n_b=args.n_b)
         rep = overhead.report(ledger, scenario="custom")
+    reduction = overhead.reduction_vs_sc(rep)    # fails before any output
     print(overhead.format_table(rep))
-    reduction = overhead.reduction_vs_sc(rep)
     print(f"HAR-SC-TC vs HAR-SC reduction: "
           f"{overhead.format_reduction_percent(reduction)}")
     if args.json:

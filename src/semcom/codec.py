@@ -327,6 +327,8 @@ def train(model, segments, labels, snr_train_db, config=None):
     Returns the per-epoch history.
     """
     config = config or TrainConfig()
+    if config.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {config.epochs}")
     if len(segments) == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(segments) != len(labels):

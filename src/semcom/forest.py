@@ -169,6 +169,8 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
     y = np.asarray(y, dtype=np.int64)
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got {n_trees}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if u.size == 0:
         raise ValueError("cannot train a forest on an empty feature set")
     if u.shape != y.shape:

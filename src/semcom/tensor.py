@@ -491,8 +491,8 @@ def grad_check(network, x, one_hot, epsilon=1e-5):
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Runs two
     forward passes per parameter element, so keep the network tiny.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     tape = Tape()
     logits = network.forward(x, tape)
     _, grad_logits = softmax_cross_entropy(logits, one_hot)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
-from semcom.accel import (DEGENERATE_NORM, QUANT_LEVELS, QUANT_STEP,
-                          SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME, AccelTrace,
-                          AccelWindow, GravityFeature,
+from semcom.accel import (DEGENERATE_NORM, FILTER_BLOCK, QUANT_LEVELS,
+                          QUANT_STEP, SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME,
+                          AccelTrace, AccelWindow, GravityFeature,
                           GravityFilter, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
@@ -165,7 +165,7 @@ class TestGravityFilterDesign:
     @staticmethod
     def vector_recurrence(filt, chunk):
         """The filter's earlier per-sample numpy loop, kept verbatim as the
-        bit-exact oracle for the per-axis Python-float loop."""
+        oracle for the blocked filter, which rounds differently."""
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim == 1:
             chunk = chunk[:, None] if filt.n_axes == 1 else chunk[None, :]
@@ -183,24 +183,79 @@ class TestGravityFilterDesign:
         filt._z1, filt._z2 = z1, z2
         return out
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
-    def test_process_bitwise_equals_vector_recurrence(self, seed, n_axes):
+    # chunk sizes: empty, single samples and the edges of a filter block
+    CUTS = st.lists(st.one_of(
+        st.sampled_from([0, 1, FILTER_BLOCK - 1, FILTER_BLOCK, FILTER_BLOCK + 1]),
+        st.integers(0, 3 * FILTER_BLOCK)), max_size=12)
+
+    @staticmethod
+    def process_in_chunks(filt, stream, sizes, flat):
+        """Feed stream to filt cut into chunks of the given sizes, the rest
+        as one last chunk. A chunk whose flat flag is set goes in 1-D: as a
+        column on one axis, as a lone sample on three."""
+        out, start = [], 0
+        for n, as_1d in zip(sizes + [len(stream)], flat + [False]):
+            chunk = stream[start:start + n]
+            start += len(chunk)
+            if as_1d and filt.n_axes == 1:
+                chunk = chunk[:, 0]
+            elif as_1d and len(chunk) == 1:
+                chunk = chunk[0]
+            out.append(filt.process(chunk))
+        return np.vstack(out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), CUTS,
+           st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_any_chunking_gives_the_same_bytes(self, seed, n_axes, sizes, flat):
         rng = np.random.default_rng(seed)
-        filt, oracle = GravityFilter(n_axes=n_axes), GravityFilter(n_axes=n_axes)
-        sizes = [0] + rng.integers(0, 60, 12).tolist()   # empty chunk first
-        for n in sizes:
-            chunk = rng.normal(0.0, 1.5, (n, n_axes))
-            if n_axes == 1 and rng.integers(2):
-                chunk = chunk[:, 0]                      # 1-D input
-            got = filt.process(chunk)
-            want = self.vector_recurrence(oracle, chunk)
-            assert got.tobytes() == want.tobytes()
-            if oracle._z1 is None:
-                assert filt._z1 is None
-            else:
-                assert filt._z1.tobytes() == oracle._z1.tobytes()
-                assert filt._z2.tobytes() == oracle._z2.tobytes()
+        stream = rng.normal(0.0, 1.5, (sum(sizes) + int(rng.integers(0, 200)),
+                                       n_axes))
+        whole, cut = GravityFilter(n_axes=n_axes), GravityFilter(n_axes=n_axes)
+        want = whole.process(stream)
+        got = self.process_in_chunks(cut, stream, sizes, flat[:len(sizes)])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for name in ("_z1", "_z2", "_open"):
+            a, b = getattr(cut, name), getattr(whole, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_one_axis_equals_a_column_of_three(self):
+        xyz = np.random.default_rng(11).normal(0.0, 1.5, (1000, 3))
+        three = GravityFilter().process(xyz)
+        for axis in range(3):
+            one = GravityFilter(n_axes=1).process(xyz[:, axis])
+            assert one[:, 0].tobytes() == three[:, axis].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), CUTS,
+           st.sampled_from([0.0, 0.1, 1.5]))
+    def test_within_rounding_of_recurrence_and_lfilter(self, seed, n_axes,
+                                                       sizes, sigma):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes) + int(rng.integers(1, 2000))
+        # a gravity-like offset (a constant stream when sigma is 0) plus motion
+        stream = rng.uniform(-4.0, 4.0, n_axes) + rng.normal(0.0, sigma,
+                                                             (n, n_axes))
+        got = self.process_in_chunks(GravityFilter(n_axes=n_axes), stream,
+                                     sizes, [False] * len(sizes))
+        # The state's rounding reaches the output through the filter's DC
+        # noise gain 1/sum(a), about 720, so two correct operation orders
+        # differ by up to a few eps * max|x| / sum(a), 1.6e-13 per g: the
+        # old recurrence itself is 2.2e-13 off lfilter on a constant 1.13 g.
+        b, a = butterworth_lowpass_coeffs()
+        tol = 4.0 * np.finfo(np.float64).eps * np.abs(stream).max() / a.sum()
+        oracle = GravityFilter(n_axes=n_axes)
+        np.testing.assert_allclose(
+            got, self.vector_recurrence(oracle, stream), rtol=0, atol=tol)
+        # lfilter from the filter's own warm start
+        start = GravityFilter(n_axes=n_axes)
+        start._warm_start(stream[0])
+        ref = np.column_stack([
+            sp_signal.lfilter(b, a, stream[:, k],
+                              zi=[start._z1[k], start._z2[k]])[0]
+            for k in range(n_axes)])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
 
     def test_process_rejects_wrong_axis_count(self):
         with pytest.raises(ValueError, match="expected 3 axes"):

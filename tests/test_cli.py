@@ -1,4 +1,8 @@
 """CLI behaviour: exit codes, diagnostics, and artifact emission."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from semcom.cli import main
@@ -42,6 +46,14 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--epsilon", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_diagnostic(self, capsys, epsilon):
+        assert main(["gradcheck", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "epsilon" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestArgparseBehaviour:
     def test_unknown_flag_exits_2(self, capsys):
@@ -54,6 +66,22 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestRuntimeImports:
+    def test_scipy_stays_out_of_the_runtime(self):
+        """scipy is a test-only oracle: importing it would add about 75 MB
+        to the resident set of every run."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, semcom, semcom.simulate, semcom.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:
@@ -156,6 +184,28 @@ class TestDegenerateArguments:
                      "--out", str(out)]) == 1
         self.assert_one_line_error(capsys, "tree")
         assert not out.exists()
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_train_forest_depth_below_one(self, tmp_path, capsys, depth):
+        out = tmp_path / "forest.semw"
+        assert main(["train-forest", "--per-class", "5", "--max-depth", depth,
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "max_depth")
+        assert not out.exists()
+
+    def test_train_codec_zero_epochs(self, tmp_path, capsys):
+        out = tmp_path / "codec.semw"
+        assert main(["train-codec", "--per-class", "1", "--epochs", "0",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "epochs")
+        assert not out.exists()
+
+    def test_overhead_zero_symbols_prints_nothing(self, capsys):
+        assert main(["overhead", "--L", "0", "--n-f", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: HAR-SC overhead is zero; "
+                                "reduction undefined\n")
 
     def test_train_forest_accuracy_is_per_feature_vote(self, tmp_path, capsys):
         from semcom.forest import load_forest

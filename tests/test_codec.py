@@ -295,6 +295,15 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train(CodecModel(seed=0), [], [], 25.0)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected(self, epochs):
+        model = CodecModel(seed=0)
+        before = [p.copy() for p in model.params()]
+        with pytest.raises(ValueError, match="epochs"):
+            train(model, [random_segment(20)], [0], 25.0,
+                  TrainConfig(epochs=epochs))
+        assert all(np.array_equal(a, b) for a, b in zip(before, model.params()))
+
     def test_params_stay_on_f32_grid(self):
         model = CodecModel(seed=4)
         segments = [random_segment(30)]

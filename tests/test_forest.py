@@ -115,6 +115,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="at least one tree"):
             train_forest(u, y, n_trees=n_trees)
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_depth_below_one_rejected(self, max_depth):
+        u, y = clusters([-0.5, 0.5, 0.8, 0.95], 0.05, 5, seed=2)
+        with pytest.raises(ValueError, match="max_depth"):
+            train_forest(u, y, max_depth=max_depth)
+
     def test_determinism(self):
         u, y = clusters([-0.5, 0.5, 0.8, 0.95], 0.05, 20, seed=2)
         f1 = train_forest(u, y, seed=77)

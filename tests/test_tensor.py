@@ -636,3 +636,9 @@ class TestGradCheck:
         net, x, one_hot = self._tiny_net(2)
         with pytest.raises(ValueError):
             grad_check(net, x, one_hot, epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        net, x, one_hot = self._tiny_net(2)
+        with pytest.raises(ValueError, match="finite"):
+            grad_check(net, x, one_hot, epsilon=epsilon)
