@@ -9,10 +9,12 @@ the received samples carry ~0.05 g RMS error for +/-1.5 g motion -- about
 low-passes at 0.3 Hz to recover the gravity component (which also
 suppresses that channel error), cuts 1 s windows and reduces each window
 to the mean cosine against the default gravity direction [0, 0, 1].
+
+Samples travel as plain (n, 3) float64 arrays in g units, one row per
+50 Hz sample; timestamps exist only in the accel CSV files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -44,29 +46,6 @@ class Posture(IntEnum):
 POSTURE_NAMES = {p: p.name.lower() for p in Posture}
 
 
-@dataclass
-class AccelTrace:
-    """A 50 Hz stream: t is (n,) seconds, xyz is (n, 3) in g units."""
-
-    t: np.ndarray
-    xyz: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.ascontiguousarray(self.t, dtype=np.float64)
-        self.xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
-        if self.xyz.ndim != 2 or self.xyz.shape[1] != 3:
-            raise ValueError(f"xyz must be (n, 3), got {self.xyz.shape}")
-        if self.t.shape != (self.xyz.shape[0],):
-            raise ValueError("t and xyz lengths differ")
-        if self.t.size > 1:
-            dt = np.diff(self.t)
-            if np.any(np.abs(dt - 1.0 / SAMPLE_RATE_HZ) > 1e-9):
-                raise ValueError("timestamps must advance by 0.02 s (50 Hz)")
-
-    def __len__(self):
-        return self.t.size
-
-
 def quantize(values):
     """Map g values onto signed 12-bit codes over [-4, +4); out-of-range clamps.
 
@@ -93,8 +72,9 @@ def amplitudes_to_codes(amps):
     return np.clip(codes, _CODE_MIN, _CODE_MAX).astype(np.int64)
 
 
-def encode_raw(trace):
-    """Quantize and pack a trace into one 75-symbol frame per full second.
+def encode_raw(xyz):
+    """Quantize and pack (n, 3) samples into one 75-symbol frame per full
+    second.
 
     Values are packed sample-major (x, y, z per sample), two consecutive
     values per complex symbol. A trailing partial second is dropped.
@@ -103,7 +83,7 @@ def encode_raw(trace):
     Returns (symbols, clamped_count), symbols a (seconds, 75) complex
     array with one frame per row.
     """
-    codes, clamped = quantize(trace.xyz)
+    codes, clamped = quantize(xyz)
     amps = codes_to_amplitudes(codes).reshape(-1)   # sample-major x,y,z
     n_frames = amps.size // VALUES_PER_FRAME
     values = amps[:n_frames * VALUES_PER_FRAME].reshape(n_frames,
@@ -112,27 +92,23 @@ def encode_raw(trace):
 
 
 def decode_raw(symbols):
-    """Recover an AccelTrace from received raw frames, one per row of a
-    (frames, 75) complex array.
-
-    Timestamps are regenerated on the 50 Hz grid starting at 0.
-    """
+    """Recover the (frames * 50, 3) samples from received raw frames, one
+    per row of a (frames, 75) complex array."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim != 2 or symbols.shape[1] != SYMBOLS_PER_FRAME:
         raise ValueError(f"expected {SYMBOLS_PER_FRAME} symbols per frame in "
                          f"an (n, {SYMBOLS_PER_FRAME}) array, got {symbols.shape}")
     values = symbols_to_floats(symbols)
-    xyz = dequantize(amplitudes_to_codes(values)).reshape(-1, 3)
-    t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
-    return AccelTrace(t, xyz)
+    return dequantize(amplitudes_to_codes(values)).reshape(-1, 3)
 
 
-def butterworth_lowpass_coeffs(cutoff_hz=LOWPASS_CUTOFF_HZ, fs=SAMPLE_RATE_HZ):
-    """2nd-order Butterworth low-pass via the bilinear transform.
+def butterworth_lowpass_coeffs():
+    """2nd-order Butterworth low-pass at LOWPASS_CUTOFF_HZ for 50 Hz
+    samples, via the bilinear transform.
 
     Returns (b, a) with a[0] = 1; DC gain is exactly 1 in exact arithmetic.
     """
-    k = np.tan(np.pi * cutoff_hz / fs)
+    k = np.tan(np.pi * LOWPASS_CUTOFF_HZ / SAMPLE_RATE_HZ)
     norm = 1.0 + np.sqrt(2.0) * k + k * k
     b = np.array([k * k, 2.0 * k * k, k * k]) / norm
     a = np.array([1.0, 2.0 * (k * k - 1.0) / norm,
@@ -141,7 +117,8 @@ def butterworth_lowpass_coeffs(cutoff_hz=LOWPASS_CUTOFF_HZ, fs=SAMPLE_RATE_HZ):
 
 
 class GravityFilter:
-    """Streaming per-axis low-pass (transposed direct form II).
+    """Streaming per-axis low-pass of (n, 3) samples (transposed direct
+    form II).
 
     State warm-starts at the steady-state response of the first sample, so
     constant inputs pass through with no startup transient.
@@ -156,9 +133,8 @@ class GravityFilter:
     block is recomputed from its start state on the next call.
     """
 
-    def __init__(self, cutoff_hz=LOWPASS_CUTOFF_HZ, fs=SAMPLE_RATE_HZ, n_axes=3):
-        self.b, self.a = butterworth_lowpass_coeffs(cutoff_hz, fs)
-        self.n_axes = n_axes
+    def __init__(self):
+        self.b, self.a = butterworth_lowpass_coeffs()
         # one zero block from the unit start states (z1, z2) = (1, 0) and
         # (0, 1): each sample's response to a block's start state, and the
         # rows of the 2x2 matrix that carries it to the next block's
@@ -168,7 +144,7 @@ class GravityFilter:
         self._carry = (end_z1.tolist(), end_z2.tolist())
         self._z1 = None      # start state of the open block, per axis
         self._z2 = None
-        self._open = np.empty((0, n_axes))   # samples of the open block
+        self._open = np.empty((0, 3))   # samples of the open block
 
     def _run(self, x, z1, z2):
         """Run the recurrence along axis 0 of x from state (z1, z2);
@@ -189,12 +165,10 @@ class GravityFilter:
         self._z2 = (b[2] - a[2]) * x0
 
     def process(self, chunk):
-        """Filter an (n, n_axes) chunk, carrying state across calls."""
+        """Filter an (n, 3) chunk, carrying state across calls."""
         chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim == 1:
-            chunk = chunk[:, None] if self.n_axes == 1 else chunk[None, :]
-        if chunk.shape[1] != self.n_axes:
-            raise ValueError(f"expected {self.n_axes} axes, got {chunk.shape[1]}")
+        if chunk.ndim != 2 or chunk.shape[1] != 3:
+            raise ValueError(f"expected 3 axes in (n, 3) samples, got {chunk.shape}")
         if chunk.shape[0] == 0:
             return np.empty_like(chunk)
         if self._z1 is None:
@@ -202,12 +176,12 @@ class GravityFilter:
         held = len(self._open)
         n = held + len(chunk)
         n_full = n // FILTER_BLOCK
-        blocks = np.zeros((-(-n // FILTER_BLOCK), FILTER_BLOCK, self.n_axes))
-        samples = blocks.reshape(-1, self.n_axes)
+        blocks = np.zeros((-(-n // FILTER_BLOCK), FILTER_BLOCK, 3))
+        samples = blocks.reshape(-1, 3)
         samples[:held] = self._open
         samples[held:n] = chunk
         # zero-state run, step i on sample i of every block at once
-        zero = np.zeros((len(blocks), self.n_axes))
+        zero = np.zeros((len(blocks), 3))
         y, end_z1, end_z2 = self._run(
             np.ascontiguousarray(blocks.transpose(1, 0, 2)), zero, zero)
         # block start states, block by block on Python floats
@@ -215,7 +189,7 @@ class GravityFilter:
         start_z1 = np.empty_like(zero)
         start_z2 = np.empty_like(zero)
         z1s, z2s = self._z1.tolist(), self._z2.tolist()
-        for axis in range(self.n_axes):
+        for axis in range(3):
             z1, z2 = z1s[axis], z2s[axis]
             s1, s2 = [z1], [z2]
             for e1, e2 in zip(end_z1[:n_full, axis].tolist(),
@@ -230,83 +204,54 @@ class GravityFilter:
         y += self._unit_y[:, None, 1:2] * start_z2
         self._z1, self._z2 = np.array(z1s), np.array(z2s)
         self._open = samples[n_full * FILTER_BLOCK:n].copy()
-        return y.transpose(1, 0, 2).reshape(-1, self.n_axes)[held:n]
+        return y.transpose(1, 0, 2).reshape(-1, 3)[held:n]
 
 
-@dataclass
-class AccelWindow:
-    """One second of gravity-filtered samples as a 3x50 matrix, or with G
-    of shape (n, 3, 50), the n consecutive windows index .. index + n - 1."""
+def gravity_feature(xyz, index=0):
+    """Movement-orientation degree of each disjoint 1 s window of (n, 3)
+    filtered samples: the mean over its samples g_j of cos(g_j, [0,0,1]).
 
-    index: int
-    G: np.ndarray
-
-    def __post_init__(self):
-        self.G = np.ascontiguousarray(self.G, dtype=np.float64)
-        if self.G.shape[-2:] != (3, WINDOW_SAMPLES) or self.G.ndim not in (2, 3):
-            raise ValueError(f"G must be (3, {WINDOW_SAMPLES}) or "
-                             f"(n, 3, {WINDOW_SAMPLES}), got {self.G.shape}")
-
-
-@dataclass
-class GravityFeature:
-    """Mean cosine of a window against the default gravity direction; for
-    a block of windows, u and excluded_columns are arrays, one per window."""
-
-    index: int
-    u: float
-    excluded_columns: int = 0
-
-
-def window_block(xyz, index=0):
-    """The consecutive disjoint 50-sample windows of (n, 3) samples as one
-    block, the first numbered index; a trailing partial is dropped."""
-    n_windows = len(xyz) // WINDOW_SAMPLES
-    samples = xyz[:n_windows * WINDOW_SAMPLES]
-    return AccelWindow(index, samples.reshape(n_windows, WINDOW_SAMPLES, 3)
-                       .transpose(0, 2, 1))
-
-
-def gravity_feature(window):
-    """Movement-orientation degree: mean over columns of cos(g_ij, [0,0,1]).
-
-    Columns with near-zero norm are excluded from the mean and counted;
-    a window with no usable column is an error that names its index. A
-    block of windows gives, window by window, the same bytes as single
-    windows would.
+    Returns the (n // 50,) u array; a trailing partial window is dropped.
+    Samples with near-zero norm are left out of their window's mean; a
+    window with no usable sample is an error that names its number,
+    counted from index.
     """
-    G = window.G.reshape(-1, 3, WINDOW_SAMPLES)
-    norms = np.linalg.norm(G, axis=1)
+    n_windows = len(xyz) // WINDOW_SAMPLES
+    windows = np.asarray(xyz, dtype=np.float64)[:n_windows * WINDOW_SAMPLES]
+    windows = windows.reshape(n_windows, WINDOW_SAMPLES, 3)
+    x, y, z = windows[..., 0], windows[..., 1], windows[..., 2]
+    # summed x, then y, then z, as np.linalg.norm sums a 3x50 window
+    norms = np.sqrt(x * x + y * y + z * z)
     valid = norms > DEGENERATE_NORM
-    excluded = WINDOW_SAMPLES - valid.sum(axis=1)
-    # degenerate columns divide by a placeholder 1; their windows are redone
-    u = np.mean(G[:, 2] / np.where(valid, norms, 1.0), axis=1)
-    if excluded.any():
-        for k in np.flatnonzero(excluded).tolist():
-            if excluded[k] == WINDOW_SAMPLES:
-                raise ValueError(
-                    f"window {window.index + k}: all columns degenerate")
-            u[k] = np.mean(G[k, 2, valid[k]] / norms[k, valid[k]])
-    if window.G.ndim == 2:
-        return GravityFeature(window.index, float(u[0]), int(excluded[0]))
-    return GravityFeature(window.index, u, excluded)
+    # degenerate samples divide by a placeholder 1; their windows are redone
+    u = np.mean(z / np.where(valid, norms, 1.0), axis=1)
+    for k in np.flatnonzero(~valid.all(axis=1)).tolist():
+        if not valid[k].any():
+            raise ValueError(f"window {index + k}: all columns degenerate")
+        u[k] = np.mean(z[k, valid[k]] / norms[k, valid[k]])
+    return u
 
 
-def write_trace_csv(path, trace):
+def write_trace_csv(path, xyz):
+    """Write (n, 3) samples as an accel CSV, sample i at t = i / 50 s."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_sec,ax,ay,az\n")
-        for i in range(len(trace)):
-            row = trace.xyz[i]
-            fh.write(f"{trace.t[i]:.6f},{row[0]:.9f},{row[1]:.9f},{row[2]:.9f}\n")
+        for i, row in enumerate(xyz):
+            fh.write(f"{i / SAMPLE_RATE_HZ:.6f},{row[0]:.9f},{row[1]:.9f},"
+                     f"{row[2]:.9f}\n")
 
 
 def read_trace_csv(path):
+    """The (n, 3) samples of an accel CSV, whose timestamps must advance by
+    0.02 s (50 Hz)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "t_sec,ax,ay,az":
             raise ValueError(f"unexpected accel CSV header: {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if not rows:
-        return AccelTrace(np.empty(0), np.empty((0, 3)))
+        return np.empty((0, 3))
     data = np.array(rows, dtype=np.float64)
-    return AccelTrace(data[:, 0], data[:, 1:4])
+    if np.any(np.abs(np.diff(data[:, 0]) - 1.0 / SAMPLE_RATE_HZ) > 1e-9):
+        raise ValueError("timestamps must advance by 0.02 s (50 Hz)")
+    return data[:, 1:4]

@@ -23,8 +23,8 @@ GRADCHECK_THRESHOLD = 1e-4
 def _cmd_gen_data(args):
     scenario = synthdata.demo_scenario(seed=args.seed, dwell_s=args.dwell)
     os.makedirs(args.out, exist_ok=True)
-    trace, postures = synthdata.gen_accel_trace(scenario)
-    write_trace_csv(os.path.join(args.out, "accel.csv"), trace)
+    xyz, postures = synthdata.gen_accel_trace(scenario)
+    write_trace_csv(os.path.join(args.out, "accel.csv"), xyz)
     with open(os.path.join(args.out, "postures.csv"), "w", encoding="utf-8") as fh:
         fh.write("second,posture\n")
         for sec, p in enumerate(postures):

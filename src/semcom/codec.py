@@ -296,9 +296,6 @@ def sample_gradients(model, segment, label, snr_db, noise_rng):
 class TrainConfig:
     epochs: int = 15
     batch_size: int = 32
-    base_lr: float = 0.003
-    lr_divisor: float = 4.0
-    lr_every: int = 4
     shuffle_seed: int = 11
     noise_seed: int = 99
 
@@ -341,7 +338,7 @@ def train(model, segments, labels, snr_train_db, config=None):
     history = []
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
-        lr = lr_schedule(epoch, config.base_lr, config.lr_divisor, config.lr_every)
+        lr = lr_schedule(epoch)
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         epoch_correct = 0

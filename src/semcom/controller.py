@@ -130,13 +130,11 @@ def fold_events(postures, policy):
     return events
 
 
-def dispatch(event, policy, cameras, ledger=None):
+def dispatch(event, policy, cameras):
     """Fan an ACK out into per-camera upload commands.
 
     Broadcast policies target every camera; subset policies must name
-    known cameras. Increments ``ledger.n_t`` by targets x segments_per_ack
-    when a ledger is supplied, and records the resolved targets on the
-    event.
+    known cameras. Records the resolved targets on the event.
     """
     cameras = tuple(cameras)
     if policy.targets is None:
@@ -149,8 +147,6 @@ def dispatch(event, policy, cameras, ledger=None):
     commands = [UploadCommand(cam, policy.segments_per_ack, event.t)
                 for cam in targets]
     event.targets = targets
-    if ledger is not None:
-        ledger.n_t += len(targets) * policy.segments_per_ack
     return commands
 
 

@@ -35,7 +35,7 @@ def gini(counts):
     return float(1.0 - np.sum(p * p))
 
 
-def best_gini_split(u, y, n_classes=N_CLASSES):
+def best_gini_split(u, y):
     """Best (threshold, weighted_gini) over midpoint candidates, or None.
 
     Samples go left when u < threshold. Candidates are scanned in
@@ -46,7 +46,7 @@ def best_gini_split(u, y, n_classes=N_CLASSES):
     us = u[order]
     ys = y[order]
     n = us.size
-    one_hot = np.zeros((n, n_classes))
+    one_hot = np.zeros((n, N_CLASSES))
     one_hot[np.arange(n), ys] = 1.0
     prefix = np.cumsum(one_hot, axis=0)
     total = prefix[-1]
@@ -101,24 +101,24 @@ class Tree:
         return depth(0)
 
 
-def _grow_tree(u, y, max_depth, n_classes):
+def _grow_tree(u, y, max_depth):
     thresholds, lefts, rights, hists = [], [], [], []
 
     def add_node():
         thresholds.append(0.0)
         lefts.append(_NO_CHILD)
         rights.append(_NO_CHILD)
-        hists.append(np.zeros(n_classes))
+        hists.append(np.zeros(N_CLASSES))
         return len(thresholds) - 1
 
     def build(idx_u, idx_y, depth):
         node = add_node()
-        counts = np.bincount(idx_y, minlength=n_classes).astype(np.float64)
+        counts = np.bincount(idx_y, minlength=N_CLASSES).astype(np.float64)
         hists[node] = counts
         if (depth >= max_depth or idx_u.size < 2
                 or np.count_nonzero(counts) <= 1):
             return node
-        split = best_gini_split(idx_u, idx_y, n_classes)
+        split = best_gini_split(idx_u, idx_y)
         if split is None:
             return node
         threshold = float(np.float32(split[0]))
@@ -181,7 +181,7 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
     trees = []
     for _ in range(n_trees):
         idx = rng.integers(0, u.size, u.size)
-        trees.append(_grow_tree(u[idx], y[idx], max_depth, N_CLASSES))
+        trees.append(_grow_tree(u[idx], y[idx], max_depth))
     return RandomForest(trees, N_CLASSES, max_depth, seed)
 
 

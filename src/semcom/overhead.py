@@ -66,15 +66,16 @@ def c_mpeg(n_b, gamma_db):
     return n_b / math.log2(1.0 + 10.0 ** (gamma_db / 10.0))
 
 
-def report(ledger, snr_grid=REFERENCE_SNR_GRID, scenario="simulation"):
+def report(ledger, scenario="simulation"):
     """Overhead table as a JSON-ready dict.
 
-    MPEG rows appear only when the ledger carries a reference video size.
+    MPEG rows, one per REFERENCE_SNR_GRID entry, appear only when the
+    ledger carries a reference video size.
     """
     ledger.validate()
     rows = []
     if ledger.n_b > 0:
-        for snr in snr_grid:
+        for snr in REFERENCE_SNR_GRID:
             rows.append({
                 "method": "MPEG-4",
                 "snr_db": float(snr),
@@ -102,7 +103,7 @@ def reference_ledger():
 
 
 def reference_report():
-    return report(reference_ledger(), REFERENCE_SNR_GRID, scenario="reference")
+    return report(reference_ledger(), scenario="reference")
 
 
 def reduction_vs_sc(rep):

@@ -13,9 +13,10 @@ blocks, one cosine feature and forest vote per window), so the
 per-second results are bitwise those of one-second steps. The
 controller then walks the stream second by second. A validated postural
 transition dispatches upload commands; every commanded camera uploads
-the current segment from its stride-16 grid, and every upload is billed
-to the ledger as N_t. An upload whose 16 frames would run past the end
-of the scenario is skipped: it is counted in ``skipped_uploads`` and not
+the current segment from its stride-16 grid, and the ledger bills each
+upload as N_t (ACKs with overlapping segments upload a segment again, so
+N_t can exceed N_f). An upload whose 16 frames would run past the end of
+the scenario is skipped: it is counted in ``skipped_uploads`` and not
 billed.
 
 An active-room upload (the room films its own activity in that segment)
@@ -41,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import overhead
-from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, AccelTrace,
-                    GravityFilter, Posture, decode_raw, encode_raw,
-                    gravity_feature, window_block)
+from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, GravityFilter, Posture,
+                    decode_raw, encode_raw, gravity_feature)
 from .channel import Channel
 from .codec import (SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
                     ACTIVITY_NAMES, classify, decode, encode)
@@ -111,11 +111,11 @@ def _settled_mask(truth, settle_windows):
     return mask
 
 
-def posture_stream(trace, accel_channel, forest):
-    """The accel uplink over a whole trace: returns (u, postures, clamped),
-    the per-second cosine features, the forest's posture for each second
-    and the number of clamped samples."""
-    seconds = len(trace) // WINDOW_SAMPLES
+def posture_stream(xyz, accel_channel, forest):
+    """The accel uplink over a whole trace of (n, 3) samples: returns (u,
+    postures, clamped), the per-second cosine features, the forest's
+    posture for each second and the number of clamped samples."""
+    seconds = len(xyz) // WINDOW_SAMPLES
     gravity = GravityFilter()
     u = np.empty(seconds)
     postures = []
@@ -123,15 +123,13 @@ def posture_stream(trace, accel_channel, forest):
     for start in range(0, seconds, ACCEL_BLOCK_S):
         stop = min(start + ACCEL_BLOCK_S, seconds)
         rows = slice(start * WINDOW_SAMPLES, stop * WINDOW_SAMPLES)
-        symbols, block_clamped = encode_raw(
-            AccelTrace(trace.t[rows], trace.xyz[rows]))
+        symbols, block_clamped = encode_raw(xyz[rows])
         clamped += block_clamped
         received = decode_raw(accel_channel.send(symbols))
-        feature = gravity_feature(
-            window_block(gravity.process(received.xyz), start))
-        u[start:stop] = feature.u
+        block_u = gravity_feature(gravity.process(received), start)
+        u[start:stop] = block_u
         postures.extend(_POSTURES[code]
-                        for code in forest.predict(feature.u).tolist())
+                        for code in forest.predict(block_u).tolist())
     return u, postures, clamped
 
 
@@ -141,14 +139,12 @@ def run_simulation(cfg, codec_model, forest):
     policy = AckPolicy(cfg.validation_windows, cfg.parse_targets(),
                        cfg.segments_per_ack)
     cameras = {room: RoomCamera(scenario, room) for room in ROOMS}
-    trace, posture_truth = gen_accel_trace(scenario)
+    xyz, posture_truth = gen_accel_trace(scenario)
     accel_channel = Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1))
-    _, posture_pred, clamped = posture_stream(trace, accel_channel, forest)
+    _, posture_pred, clamped = posture_stream(xyz, accel_channel, forest)
 
     video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
     controller = TransmissionController(policy)
-    ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
-    ledger.raw_symbols = SYMBOLS_PER_FRAME * len(posture_pred)
 
     # Table-3-style matrix over active-room uploads
     table = {ACTIVITY_NAMES[a]: {room: {"count": 0, "correct": 0}
@@ -162,7 +158,7 @@ def run_simulation(cfg, codec_model, forest):
         event = controller.observe(predicted, sec)
         if event is None:
             continue
-        commands = dispatch(event, policy, ROOMS, ledger)
+        commands = dispatch(event, policy, ROOMS)
         event_lines.append(format_event(event))
         for command in commands:
             base_grid = (command.t * FPS) // SEGMENT_FRAMES
@@ -171,7 +167,6 @@ def run_simulation(cfg, codec_model, forest):
                 grid = base_grid + k
                 if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
                     skipped += 1
-                    ledger.n_t -= 1
                     continue
                 uploads += 1
                 truth = camera.activity_at_grid(grid)
@@ -191,7 +186,9 @@ def run_simulation(cfg, codec_model, forest):
                     cell["correct"] += 1
                     truthed_correct += 1
 
-    ledger.n_f = len(ROOMS) * (cameras[ROOMS[0]].total_frames // SEGMENT_FRAMES)
+    ledger = overhead.OverheadLedger(
+        n_f=len(ROOMS) * (cameras[ROOMS[0]].total_frames // SEGMENT_FRAMES),
+        n_t=uploads, raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred))
 
     # posture bookkeeping
     truth_arr = [int(p) for p in posture_truth]

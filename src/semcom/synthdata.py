@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, AccelTrace, GravityFilter,
-                    Posture, gravity_feature, window_block)
+from .accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, GravityFilter, Posture,
+                    gravity_feature)
 from .codec import (FRAME_HEIGHT, FRAME_WIDTH, SEGMENT_FRAMES, Activity,
                     VideoSegment)
 
@@ -174,7 +174,8 @@ def gravity_direction(posture):
 
 
 def gen_accel_trace(scenario):
-    """50 Hz acceleration trace plus per-second posture ground truth."""
+    """(xyz, postures): the (n, 3) 50 Hz acceleration samples and the
+    per-second posture ground truth."""
     postures = posture_timeline(scenario)
     rng = _rng(scenario.seed, _ACCEL_STREAM)
     n = len(postures) * WINDOW_SAMPLES
@@ -184,8 +185,7 @@ def gen_accel_trace(scenario):
     per_second = xyz.reshape(-1, WINDOW_SAMPLES, 3)   # a view of xyz
     directions = np.array([gravity_direction(p) for p in Posture])
     per_second += directions[np.array(postures, dtype=np.int64)].reshape(-1, 1, 3)
-    t = np.arange(n) / SAMPLE_RATE_HZ
-    return AccelTrace(t, xyz), postures
+    return xyz, postures
 
 
 def _blob_geometry(activity, frame_phase, jitter_rc):
@@ -211,31 +211,26 @@ def render_frame(activity, frame_phase, jitter_rc, amplitude, noise_rng,
     return (np.clip(img, 0.0, 1.0) * 255.0).round().astype(np.uint8)
 
 
-def render_clip(activity, rng, pixel_noise, position_jitter,
-                start_phase=0):
-    """A 16-frame clip of one activity, with per-clip jitter from rng."""
-    if position_jitter > 0:
-        jitter_rc = rng.integers(-position_jitter, position_jitter + 1, 2)
-        amplitude = BASE_AMPLITUDE + rng.uniform(-0.05, 0.05)
-    else:
-        jitter_rc = (0, 0)
-        amplitude = BASE_AMPLITUDE
-    frames = np.stack([
-        render_frame(activity, (start_phase + i) % SEGMENT_FRAMES, jitter_rc,
-                     amplitude, rng, pixel_noise)
+def render_clip(activity, rng):
+    """A 16-frame clip of one activity with the default Scenario's pixel
+    noise, and position and brightness jitter drawn from rng."""
+    jitter = Scenario.position_jitter
+    jitter_rc = rng.integers(-jitter, jitter + 1, 2)
+    amplitude = BASE_AMPLITUDE + rng.uniform(-0.05, 0.05)
+    return np.stack([
+        render_frame(activity, i, jitter_rc, amplitude, rng,
+                     Scenario.pixel_noise)
         for i in range(SEGMENT_FRAMES)
     ])
-    return frames
 
 
-def make_codec_dataset(n_per_class, seed=0, pixel_noise=0.005,
-                       position_jitter=4):
+def make_codec_dataset(n_per_class, seed=0):
     """Labeled VideoSegments, n per activity class, class-major order."""
     segments, labels = [], []
     rng = _rng(seed, _DATASET_STREAM)
     for i in range(n_per_class):
         for activity in Activity:
-            frames = render_clip(activity, rng, pixel_noise, position_jitter)
+            frames = render_clip(activity, rng)
             segments.append(VideoSegment.from_rgb_frames(len(segments), frames))
             labels.append(int(activity))
     return segments, labels
@@ -243,7 +238,7 @@ def make_codec_dataset(n_per_class, seed=0, pixel_noise=0.005,
 
 def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
     """(u, label) pairs from steady single-posture traces via the gravity
-    filter and the window-block feature path the simulated uplink runs."""
+    filter and the windowed feature the simulated uplink runs."""
     us = []
     rng = _rng(seed, _ACCEL_STREAM, _DATASET_STREAM)
     for posture in Posture:
@@ -251,8 +246,7 @@ def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
         xyz = np.tile(direction, (n_per_class * WINDOW_SAMPLES, 1))
         if accel_noise_g > 0:
             xyz = xyz + rng.normal(0.0, accel_noise_g, xyz.shape)
-        us.append(gravity_feature(
-            window_block(GravityFilter().process(xyz))).u)
+        us.append(gravity_feature(GravityFilter().process(xyz)))
     labels = np.repeat(np.arange(len(Posture), dtype=np.int64), n_per_class)
     return np.concatenate(us), labels
 

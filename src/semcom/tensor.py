@@ -477,11 +477,11 @@ def sgd_step(params, grads, lr):
     return params
 
 
-def lr_schedule(epoch, base_lr=0.003, divisor=4.0, every=4):
-    """Step decay: base / divisor**floor(epoch/every), epoch 0-indexed."""
+def lr_schedule(epoch):
+    """Step decay: 0.003 / 4**floor(epoch/4), epoch 0-indexed."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return base_lr / divisor ** (epoch // every)
+    return 0.003 / 4.0 ** (epoch // 4)
 
 
 def grad_check(network, x, one_hot, epsilon=1e-5):

@@ -8,17 +8,15 @@ from scipy import signal as sp_signal
 
 from semcom.accel import (DEGENERATE_NORM, FILTER_BLOCK, QUANT_LEVELS,
                           QUANT_STEP, SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME,
-                          AccelTrace, AccelWindow, GravityFeature,
                           GravityFilter, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
-                          quantize, window_block,
-                          read_trace_csv, write_trace_csv)
+                          quantize, read_trace_csv, write_trace_csv)
 
 
-def trace_of(xyz):
-    xyz = np.asarray(xyz, dtype=np.float64)
-    return AccelTrace(np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ, xyz)
+def window(G):
+    """The 50 samples of a 3x50 matrix whose columns are samples."""
+    return np.asarray(G, dtype=np.float64).T
 
 
 class TestQuantizer:
@@ -53,30 +51,25 @@ class TestRawCodec:
     def test_loopback_within_half_step(self):
         rng = np.random.default_rng(0)
         xyz = rng.uniform(-3.9, 3.9, (150, 3))
-        frames, clamped = encode_raw(trace_of(xyz))
+        frames, clamped = encode_raw(xyz)
         assert clamped == 0
         assert frames.shape == (3, SYMBOLS_PER_FRAME)
         out = decode_raw(frames)
-        assert np.max(np.abs(out.xyz - xyz)) <= QUANT_STEP / 2 + 1e-12
+        assert out.shape == xyz.shape
+        assert np.max(np.abs(out - xyz)) <= QUANT_STEP / 2 + 1e-12
 
     def test_partial_second_dropped(self):
-        frames, _ = encode_raw(trace_of(np.zeros((80, 3))))
+        frames, _ = encode_raw(np.zeros((80, 3)))
         assert len(frames) == 1
 
     def test_empty_round_trip(self):
         out = decode_raw(np.empty((0, SYMBOLS_PER_FRAME), dtype=np.complex128))
-        assert len(out) == 0
+        assert out.shape == (0, 3)
 
     def test_malformed_frame_length(self):
         bad = np.zeros((1, 10), dtype=np.complex128)
         with pytest.raises(ValueError, match="expected 75"):
             decode_raw(bad)
-
-    def test_timestamps_regenerated(self):
-        frames, _ = encode_raw(trace_of(np.zeros((100, 3))))
-        out = decode_raw(frames)
-        np.testing.assert_allclose(np.diff(out.t), 0.02, atol=1e-12)
-        assert out.t[0] == 0.0
 
     def test_noisy_link_rms_error_bounded(self):
         """Monte-Carlo: quantizer + 25 dB channel on unnormalized symbols.
@@ -99,13 +92,12 @@ class TestRawCodec:
         snr_db = 25.0
         rng = np.random.default_rng(42)
         xyz = rng.uniform(-1.5, 1.5, (50 * 40, 3))   # 40 seconds
-        trace = trace_of(xyz)
-        frames, clamped = encode_raw(trace)
+        frames, clamped = encode_raw(xyz)
         assert clamped == 0
         channel = Channel(snr_db, rng_seed=9)
         noisy = [channel.send(f) for f in frames]
         out = decode_raw(noisy)
-        rms = float(np.sqrt(np.mean((out.xyz - xyz) ** 2)))
+        rms = float(np.sqrt(np.mean((out - xyz) ** 2)))
         g_per_amplitude = QUANT_STEP * QUANT_LEVELS / 2
         channel_mse = np.mean([
             g_per_amplitude**2 * SymbolFrame(f).avg_power
@@ -117,7 +109,7 @@ class TestRawCodec:
 
 class TestGravityFilterDesign:
     def test_coefficients_match_scipy(self):
-        b, a = butterworth_lowpass_coeffs(0.3, 50.0)
+        b, a = butterworth_lowpass_coeffs()
         b_ref, a_ref = sp_signal.butter(2, 0.3, fs=50.0, btype="low")
         np.testing.assert_allclose(b, b_ref, rtol=1e-12)
         np.testing.assert_allclose(a, a_ref, rtol=1e-12)
@@ -134,8 +126,8 @@ class TestGravityFilterDesign:
     def test_five_hz_attenuated_40db(self):
         t = np.arange(int(30 * SAMPLE_RATE_HZ)) / SAMPLE_RATE_HZ
         x = np.sin(2 * np.pi * 5.0 * t)
-        filt = GravityFilter(n_axes=1)
-        y = filt.process(x[:, None])[:, 0]
+        filt = GravityFilter()
+        y = filt.process(np.column_stack([x, x, x]))[:, 0]
         settled = y[len(y) // 2:]
         gain = np.max(np.abs(settled))
         # independent oracle: digital magnitude response from scipy
@@ -146,9 +138,9 @@ class TestGravityFilterDesign:
 
     def test_step_settles_within_5s_overshoot_bounded(self):
         n = int(10 * SAMPLE_RATE_HZ)
-        x = np.ones((n, 1))
+        x = np.ones((n, 3))
         x[0] = 0.0   # warm-start at 0, then step to 1
-        filt = GravityFilter(n_axes=1)
+        filt = GravityFilter()
         y = filt.process(x)[:, 0]
         assert np.max(y) <= 1.25
         tail = y[int(5 * SAMPLE_RATE_HZ):]
@@ -167,8 +159,6 @@ class TestGravityFilterDesign:
         """The filter's earlier per-sample numpy loop, kept verbatim as the
         oracle for the blocked filter, which rounds differently."""
         chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim == 1:
-            chunk = chunk[:, None] if filt.n_axes == 1 else chunk[None, :]
         if filt._z1 is None and chunk.shape[0] > 0:
             filt._warm_start(chunk[0])
         out = np.empty_like(chunk)
@@ -189,77 +179,63 @@ class TestGravityFilterDesign:
         st.integers(0, 3 * FILTER_BLOCK)), max_size=12)
 
     @staticmethod
-    def process_in_chunks(filt, stream, sizes, flat):
+    def process_in_chunks(filt, stream, sizes):
         """Feed stream to filt cut into chunks of the given sizes, the rest
-        as one last chunk. A chunk whose flat flag is set goes in 1-D: as a
-        column on one axis, as a lone sample on three."""
+        as one last chunk."""
         out, start = [], 0
-        for n, as_1d in zip(sizes + [len(stream)], flat + [False]):
+        for n in sizes + [len(stream)]:
             chunk = stream[start:start + n]
             start += len(chunk)
-            if as_1d and filt.n_axes == 1:
-                chunk = chunk[:, 0]
-            elif as_1d and len(chunk) == 1:
-                chunk = chunk[0]
             out.append(filt.process(chunk))
         return np.vstack(out)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), CUTS,
-           st.lists(st.booleans(), min_size=12, max_size=12))
-    def test_any_chunking_gives_the_same_bytes(self, seed, n_axes, sizes, flat):
+    @given(st.integers(0, 2**32 - 1), CUTS)
+    def test_any_chunking_gives_the_same_bytes(self, seed, sizes):
         rng = np.random.default_rng(seed)
         stream = rng.normal(0.0, 1.5, (sum(sizes) + int(rng.integers(0, 200)),
-                                       n_axes))
-        whole, cut = GravityFilter(n_axes=n_axes), GravityFilter(n_axes=n_axes)
+                                       3))
+        whole, cut = GravityFilter(), GravityFilter()
         want = whole.process(stream)
-        got = self.process_in_chunks(cut, stream, sizes, flat[:len(sizes)])
+        got = self.process_in_chunks(cut, stream, sizes)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         for name in ("_z1", "_z2", "_open"):
             a, b = getattr(cut, name), getattr(whole, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
-    def test_one_axis_equals_a_column_of_three(self):
-        xyz = np.random.default_rng(11).normal(0.0, 1.5, (1000, 3))
-        three = GravityFilter().process(xyz)
-        for axis in range(3):
-            one = GravityFilter(n_axes=1).process(xyz[:, axis])
-            assert one[:, 0].tobytes() == three[:, axis].tobytes()
-
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), CUTS,
-           st.sampled_from([0.0, 0.1, 1.5]))
-    def test_within_rounding_of_recurrence_and_lfilter(self, seed, n_axes,
-                                                       sizes, sigma):
+    @given(st.integers(0, 2**32 - 1), CUTS, st.sampled_from([0.0, 0.1, 1.5]))
+    def test_within_rounding_of_recurrence_and_lfilter(self, seed, sizes,
+                                                       sigma):
         rng = np.random.default_rng(seed)
         n = sum(sizes) + int(rng.integers(1, 2000))
         # a gravity-like offset (a constant stream when sigma is 0) plus motion
-        stream = rng.uniform(-4.0, 4.0, n_axes) + rng.normal(0.0, sigma,
-                                                             (n, n_axes))
-        got = self.process_in_chunks(GravityFilter(n_axes=n_axes), stream,
-                                     sizes, [False] * len(sizes))
+        stream = rng.uniform(-4.0, 4.0, 3) + rng.normal(0.0, sigma, (n, 3))
+        got = self.process_in_chunks(GravityFilter(), stream, sizes)
         # The state's rounding reaches the output through the filter's DC
         # noise gain 1/sum(a), about 720, so two correct operation orders
         # differ by up to a few eps * max|x| / sum(a), 1.6e-13 per g: the
         # old recurrence itself is 2.2e-13 off lfilter on a constant 1.13 g.
         b, a = butterworth_lowpass_coeffs()
         tol = 4.0 * np.finfo(np.float64).eps * np.abs(stream).max() / a.sum()
-        oracle = GravityFilter(n_axes=n_axes)
+        oracle = GravityFilter()
         np.testing.assert_allclose(
             got, self.vector_recurrence(oracle, stream), rtol=0, atol=tol)
         # lfilter from the filter's own warm start
-        start = GravityFilter(n_axes=n_axes)
+        start = GravityFilter()
         start._warm_start(stream[0])
         ref = np.column_stack([
             sp_signal.lfilter(b, a, stream[:, k],
                               zi=[start._z1[k], start._z2[k]])[0]
-            for k in range(n_axes)])
+            for k in range(3)])
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
 
     def test_process_rejects_wrong_axis_count(self):
-        with pytest.raises(ValueError, match="expected 3 axes"):
-            GravityFilter().process(np.zeros((5, 2)))
+        # a lone 1-D sample is rejected too: chunks are (n, 3) only
+        for shape in [(5, 2), (5, 1), (3,), (2, 5, 3)]:
+            with pytest.raises(ValueError, match="expected 3 axes"):
+                GravityFilter().process(np.zeros(shape))
 
     def test_lowpass_gravity_matches_scipy_lfilter(self):
         rng = np.random.default_rng(6)
@@ -276,61 +252,59 @@ class TestGravityFilterDesign:
 
 class TestWindows:
     def test_500_samples_10_windows(self):
-        assert window_block(np.zeros((500, 3))).G.shape == (10, 3, 50)
+        assert gravity_feature(np.ones((500, 3))).shape == (10,)
 
     def test_49_samples_no_window(self):
-        block = window_block(np.zeros((49, 3)))
-        assert block.G.shape == (0, 3, 50)
-        assert gravity_feature(block).u.shape == (0,)
+        u = gravity_feature(np.zeros((49, 3)))
+        assert u.shape == (0,) and u.dtype == np.float64
 
     def test_video_aligned_trace(self):
         # 29,640 samples = 592.8 s at 50 Hz
-        block = window_block(np.zeros((29640, 3)))
-        assert block.G.shape[0] == 592
+        assert gravity_feature(np.ones((29640, 3))).shape == (592,)
 
     def test_window_contents(self):
-        xyz = np.arange(100 * 3, dtype=np.float64).reshape(100, 3)
-        block = window_block(xyz, index=7)
-        assert block.index == 7
-        np.testing.assert_array_equal(block.G[1], xyz[50:100].T)
+        xyz = np.random.default_rng(8).normal(0.0, 1.0, (100, 3))
+        u = gravity_feature(xyz)
+        assert u[1].tobytes() == gravity_feature(xyz[50:100]).tobytes()
+        cosines = xyz[50:100, 2] / np.linalg.norm(xyz[50:100], axis=1)
+        assert u[1] == pytest.approx(np.mean(cosines), abs=1e-15)
 
 
 class TestGravityFeature:
     def test_parallel(self):
         G = np.tile([[0.0], [0.0], [1.0]], (1, 50))
-        assert gravity_feature(AccelWindow(0, G)).u == 1.0
+        assert gravity_feature(window(G)).tolist() == [1.0]
 
     def test_antiparallel(self):
         G = np.tile([[0.0], [0.0], [-1.0]], (1, 50))
-        assert gravity_feature(AccelWindow(0, G)).u == -1.0
+        assert gravity_feature(window(G)).tolist() == [-1.0]
 
     def test_orthogonal(self):
         G = np.tile([[1.0], [0.0], [0.0]], (1, 50))
-        assert gravity_feature(AccelWindow(0, G)).u == 0.0
+        assert gravity_feature(window(G)).tolist() == [0.0]
 
     def test_half_parallel_half_orthogonal(self):
         G = np.zeros((3, 50))
         G[2, :25] = 1.0
         G[0, 25:] = 1.0
-        assert gravity_feature(AccelWindow(0, G)).u == pytest.approx(0.5, abs=1e-12)
+        assert gravity_feature(window(G))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_columns_excluded(self):
         G = np.zeros((3, 50))
         G[2, :10] = 1.0     # 10 valid parallel columns, 40 degenerate
-        feature = gravity_feature(AccelWindow(0, G))
-        assert feature.u == 1.0
-        assert feature.excluded_columns == 40
+        G[0, 10:20] = DEGENERATE_NORM / 2
+        assert gravity_feature(window(G)).tolist() == [1.0]
 
     def test_all_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            gravity_feature(AccelWindow(3, np.zeros((3, 50))))
+        with pytest.raises(ValueError, match="window 3: all columns degenerate"):
+            gravity_feature(np.zeros((50, 3)), index=3)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_u_bounded(self, seed):
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((3, 50))
-        assert abs(gravity_feature(AccelWindow(0, G)).u) <= 1.0 + 1e-12
+        assert abs(gravity_feature(window(G))[0]) <= 1.0 + 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -338,82 +312,92 @@ class TestGravityFeature:
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((3, 50)) + 0.1
         scales = rng.uniform(0.1, 10.0, 50)
-        u1 = gravity_feature(AccelWindow(0, G)).u
-        u2 = gravity_feature(AccelWindow(0, G * scales)).u
+        u1 = gravity_feature(window(G))[0]
+        u2 = gravity_feature(window(G * scales))[0]
         assert u1 == pytest.approx(u2, abs=1e-12)
 
 
-def single_window_feature(window):
-    """gravity_feature as it was before it took blocks of windows, kept
-    verbatim as the oracle."""
-    norms = np.linalg.norm(window.G, axis=0)
+def single_window_feature(G, index):
+    """gravity_feature of one 3x50 window as it was before it took blocks
+    of windows, kept as the oracle: (u, excluded column count)."""
+    norms = np.linalg.norm(G, axis=0)
     valid = norms > DEGENERATE_NORM
     n_excluded = int(np.count_nonzero(~valid))
     if not np.any(valid):
-        raise ValueError(f"window {window.index}: all columns degenerate")
-    cosines = window.G[2, valid] / norms[valid]
-    return GravityFeature(window.index, float(np.mean(cosines)), n_excluded)
+        raise ValueError(f"window {index}: all columns degenerate")
+    cosines = G[2, valid] / norms[valid]
+    return float(np.mean(cosines)), n_excluded
 
 
-def random_windows(seed, n):
+def random_samples(seed, n_windows):
+    """(n_windows * 50, 3) samples, each window around its own offset."""
     rng = np.random.default_rng(seed)
-    return (rng.normal(0.0, rng.uniform(0.01, 2.0), (n, 3, 50))
-            + rng.normal(0.0, 1.0, (n, 3, 1)))
+    G = (rng.normal(0.0, rng.uniform(0.01, 2.0), (n_windows, 3, 50))
+         + rng.normal(0.0, 1.0, (n_windows, 3, 1)))
+    return G.transpose(0, 2, 1).reshape(-1, 3)
 
 
 class TestGravityFeatureBlock:
-    """A block of windows gives, window by window, the bytes of the
-    single-window feature."""
+    """Many windows in one call give, window by window, the bytes of one
+    call per window and of the single-window oracle."""
 
     @staticmethod
-    def assert_matches_windows(index, G):
-        got = gravity_feature(AccelWindow(index, G))
-        for k in range(G.shape[0]):
-            want = single_window_feature(AccelWindow(index + k, G[k]))
-            assert np.float64(want.u).tobytes() == got.u[k].tobytes()
-            assert got.excluded_columns[k] == want.excluded_columns
-            one = gravity_feature(AccelWindow(index + k, G[k]))
-            assert one == want and type(one.u) is float
+    def assert_matches_windows(index, xyz):
+        got = gravity_feature(xyz, index)
+        assert got.shape == (len(xyz) // 50,)
+        for k in range(len(got)):
+            samples = xyz[50 * k:50 * (k + 1)]
+            one = gravity_feature(samples, index + k)
+            want, _ = single_window_feature(np.ascontiguousarray(samples.T),
+                                            index + k)
+            assert one.tobytes() == got[k:k + 1].tobytes()
+            assert np.float64(want).tobytes() == got[k].tobytes()
         return got
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
-    def test_block_equals_single_windows(self, seed, n):
-        self.assert_matches_windows(seed % 1000, random_windows(seed, n))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 49))
+    def test_block_equals_single_windows(self, seed, n, extra):
+        xyz = np.vstack([random_samples(seed, n), np.ones((extra, 3))])
+        self.assert_matches_windows(seed % 1000, xyz)
 
     def test_planted_degenerate_column(self):
-        G = random_windows(4, 9)
-        G[5, :, 17] = 0.0
-        G[5, :, 40] = DEGENERATE_NORM / 4
-        got = self.assert_matches_windows(100, G)
-        assert got.excluded_columns.tolist() == [0] * 5 + [2] + [0] * 3
+        xyz = random_samples(4, 9)
+        xyz[5 * 50 + 17] = 0.0
+        xyz[5 * 50 + 40] = DEGENERATE_NORM / 4
+        self.assert_matches_windows(100, xyz)
+        excluded = [single_window_feature(xyz[50 * k:50 * (k + 1)].T, k)[1]
+                    for k in range(9)]
+        assert excluded == [0] * 5 + [2] + [0] * 3
 
     def test_all_degenerate_window_names_its_index(self):
-        G = random_windows(5, 6)
-        G[4] = 0.0
+        xyz = random_samples(5, 6)
+        xyz[4 * 50:5 * 50] = 0.0
         with pytest.raises(ValueError, match="window 104: all columns degenerate"):
-            gravity_feature(AccelWindow(100, G))
+            gravity_feature(xyz, 100)
         with pytest.raises(ValueError, match="window 104: all columns degenerate"):
-            single_window_feature(AccelWindow(104, G[4]))
-
-    def test_block_shape_validated(self):
-        with pytest.raises(ValueError, match="G must be"):
-            AccelWindow(0, np.zeros((2, 3, 49)))
+            single_window_feature(xyz[4 * 50:5 * 50].T, 104)
 
 
 class TestTraceValidation:
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(ValueError, match="50 Hz"):
-            AccelTrace(np.array([0.0, 0.1]), np.zeros((2, 3)))
+    def test_wrong_rate_rejected(self, tmp_path):
+        path = tmp_path / "fast.csv"
+        path.write_text("t_sec,ax,ay,az\n0.000000,0,0,1\n0.020000,0,0,1\n"
+                        "0.030000,0,0,1\n")
+        with pytest.raises(ValueError, match="50 Hz") as exc:
+            read_trace_csv(path)
+        assert "\n" not in str(exc.value)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        trace = trace_of(rng.uniform(-2, 2, (120, 3)))
+        xyz = rng.uniform(-2, 2, (120, 3))
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
+        write_trace_csv(path, xyz)
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:4]] == [
+            "0.000000", "0.020000", "0.040000"]
         back = read_trace_csv(path)
-        np.testing.assert_allclose(back.xyz, trace.xyz, atol=1e-9)
-        np.testing.assert_allclose(back.t, trace.t, atol=1e-6)
+        assert back.shape == (120, 3)
+        np.testing.assert_allclose(back, xyz, atol=1e-9)
 
     def test_csv_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from semcom.accel import AccelWindow, Posture, gravity_feature
+from semcom.accel import Posture, gravity_feature
 from semcom.channel import Channel, measured_snr
 from semcom.cli import main as cli_main
 from semcom.codec import (DEEP_FEATURE_SHAPE, SYMBOLS_PER_SEGMENT, CodecModel,
@@ -193,16 +193,16 @@ class TestCriterion7Feature:
         parallel = np.tile([[0.0], [0.0], [1.0]], (1, 50))
         antiparallel = np.tile([[0.0], [0.0], [-1.0]], (1, 50))
         orthogonal = np.tile([[1.0], [0.0], [0.0]], (1, 50))
-        assert abs(gravity_feature(AccelWindow(0, parallel)).u - 1.0) <= 1e-12
-        assert abs(gravity_feature(AccelWindow(0, antiparallel)).u + 1.0) <= 1e-12
-        assert abs(gravity_feature(AccelWindow(0, orthogonal)).u) <= 1e-12
+        assert abs(gravity_feature(parallel.T)[0] - 1.0) <= 1e-12
+        assert abs(gravity_feature(antiparallel.T)[0] + 1.0) <= 1e-12
+        assert abs(gravity_feature(orthogonal.T)[0]) <= 1e-12
         rng = np.random.default_rng(3)
         for _ in range(200):
             G = rng.standard_normal((3, 50))
-            u = gravity_feature(AccelWindow(0, G)).u
+            u = gravity_feature(G.T)[0]
             assert abs(u) <= 1.0 + 1e-12
             scales = rng.uniform(0.05, 20.0, 50)
-            u_scaled = gravity_feature(AccelWindow(0, G * scales)).u
+            u_scaled = gravity_feature((G * scales).T)[0]
             assert u_scaled == pytest.approx(u, abs=1e-12)
         report("CRITERION 7 PASS: analytic cosine cases exact to 1e-12, "
                "|u| <= 1 and positive-scale invariance on 200 random windows")

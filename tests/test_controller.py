@@ -11,7 +11,6 @@ from semcom.accel import Posture
 from semcom.controller import (INITIAL_STATE, AckPolicy, ControlEvent,
                                TransmissionController, dispatch, fold_events,
                                format_event, oracle_events, step)
-from semcom.overhead import OverheadLedger
 
 SIT = Posture.SITTING
 STAND = Posture.STANDING
@@ -115,12 +114,10 @@ class TestOracleAgreement:
 
 class TestDispatch:
     def test_broadcast_fans_out(self):
-        ledger = OverheadLedger()
         event = ControlEvent(5, SIT, STAND)
-        commands = dispatch(event, AckPolicy(), ("bedroom", "living_room", "kitchen"),
-                            ledger)
+        commands = dispatch(event, AckPolicy(), ("bedroom", "living_room", "kitchen"))
         assert len(commands) == 3
-        assert ledger.n_t == 3
+        assert [c.camera for c in commands] == ["bedroom", "living_room", "kitchen"]
         assert event.targets == ("bedroom", "living_room", "kitchen")
         assert all(c.segments == 1 and c.t == 5 for c in commands)
 
@@ -137,17 +134,17 @@ class TestDispatch:
                      ("bedroom", "kitchen"))
 
     def test_twelve_transitions_broadcast_gives_36(self):
-        ledger = OverheadLedger()
-        for i in range(12):
-            dispatch(ControlEvent(i, SIT, STAND), AckPolicy(),
-                     ("bedroom", "living_room", "kitchen"), ledger)
-        assert ledger.n_t == 36
+        commands = [c for i in range(12)
+                    for c in dispatch(ControlEvent(i, SIT, STAND), AckPolicy(),
+                                      ("bedroom", "living_room", "kitchen"))]
+        assert len(commands) == 36
+        assert sum(c.segments for c in commands) == 36
 
     def test_segments_per_ack(self):
-        ledger = OverheadLedger()
         commands = dispatch(ControlEvent(0, SIT, STAND),
-                            AckPolicy(segments_per_ack=2), ("a", "b"), ledger)
-        assert ledger.n_t == 4
+                            AckPolicy(segments_per_ack=2), ("a", "b"))
+        assert len(commands) == 2
+        assert sum(c.segments for c in commands) == 4
         assert all(c.segments == 2 for c in commands)
 
     def test_policy_validation(self):

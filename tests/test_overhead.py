@@ -87,12 +87,6 @@ class TestReport:
         rep = report(OverheadLedger(L=10, n_f=2, n_t=1))
         assert [row["method"] for row in rep["rows"]] == ["HAR-SC", "HAR-SC-TC"]
 
-    def test_snr_grid_respected(self):
-        ledger = OverheadLedger(L=1, n_f=1, n_t=1, n_b=1000)
-        rep = report(ledger, snr_grid=(5.0, 9.0))
-        mpeg_rows = [r for r in rep["rows"] if r["method"] == "MPEG-4"]
-        assert [r["snr_db"] for r in mpeg_rows] == [5.0, 9.0]
-
     def test_tc_never_exceeds_sc_when_nt_bounded(self):
         ledger = OverheadLedger(L=4840, n_f=100, n_t=40)
         rep = report(ledger)

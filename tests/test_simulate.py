@@ -12,8 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semcom import overhead, simulate
-from semcom.accel import (SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME, VALUES_PER_FRAME,
-                          AccelTrace, AccelWindow, GravityFilter,
+from semcom.accel import (SYMBOLS_PER_FRAME, VALUES_PER_FRAME, GravityFilter,
                           amplitudes_to_codes, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
                           quantize)
@@ -34,7 +33,8 @@ from semcom.synthdata import (FPS, ROOMS, WALK_SECONDS, RoomCamera,
 
 # The accel uplink as it ran before blocks, one second per step: the raw
 # codec, then the simulation loop that also rendered, encoded and decoded
-# every idle-room upload, kept verbatim as the oracle.
+# every idle-room upload, kept as the oracle; only its accel types and its
+# N_t bookkeeping were ported when those left the program.
 @dataclass
 class UploadRecord:
     t: int
@@ -45,8 +45,9 @@ class UploadRecord:
     truth_room: object
 
 
-def per_frame_encode_raw(trace):
-    """Quantize and pack a trace into one 75-symbol frame per full second.
+def per_frame_encode_raw(xyz):
+    """Quantize and pack (n, 3) samples into one 75-symbol frame per full
+    second.
 
     Values are packed sample-major (x, y, z per sample), two consecutive
     values per complex symbol. A trailing partial second is dropped.
@@ -54,7 +55,7 @@ def per_frame_encode_raw(trace):
     so channel noise scales with each frame's measured power rather than
     with full scale. Returns (frames, clamped_count).
     """
-    codes, clamped = quantize(trace.xyz)
+    codes, clamped = quantize(xyz)
     amps = codes_to_amplitudes(codes).reshape(-1)   # sample-major x,y,z
     n_frames = amps.size // VALUES_PER_FRAME
     frames = []
@@ -66,10 +67,7 @@ def per_frame_encode_raw(trace):
 
 
 def per_frame_decode_raw(frames):
-    """Recover an AccelTrace from received raw frames.
-
-    Timestamps are regenerated on the 50 Hz grid starting at 0.
-    """
+    """Recover the (n, 3) samples from received raw frames."""
     values = []
     for idx, frame in enumerate(frames):
         if len(frame) != SYMBOLS_PER_FRAME:
@@ -80,21 +78,21 @@ def per_frame_decode_raw(frames):
         pairs[1::2] = frame.symbols.imag
         values.append(dequantize(amplitudes_to_codes(pairs)))
     if not values:
-        return AccelTrace(np.empty(0), np.empty((0, 3)))
-    xyz = np.concatenate(values).reshape(-1, 3)
-    t = np.arange(xyz.shape[0]) / SAMPLE_RATE_HZ
-    return AccelTrace(t, xyz)
+        return np.empty((0, 3))
+    return np.concatenate(values).reshape(-1, 3)
 
 
 def per_second_simulation(cfg, codec_model, forest):
     """run_simulation as it was before the accel uplink ran in blocks, kept
-    verbatim as the oracle; it also returns the per-second u and postures."""
+    as the oracle; it also returns the per-second u and postures. It bills
+    each commanded segment to N_t when the ACK fans out and takes back
+    the ones it skips."""
     scenario = cfg.parse_scenario()
     policy = AckPolicy(cfg.validation_windows, cfg.parse_targets(),
                        cfg.segments_per_ack)
     cameras = {room: RoomCamera(scenario, room) for room in ROOMS}
-    trace, posture_truth = gen_accel_trace(scenario)
-    frames, clamped = per_frame_encode_raw(trace)
+    xyz, posture_truth = gen_accel_trace(scenario)
+    frames, clamped = per_frame_encode_raw(xyz)
 
     accel_channel = Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1))
     video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
@@ -110,20 +108,20 @@ def per_second_simulation(cfg, codec_model, forest):
     for sec, frame in enumerate(frames):
         noisy = accel_channel.send(frame)
         ledger.raw_symbols += SYMBOLS_PER_FRAME
-        chunk = per_frame_decode_raw([noisy])
-        filtered = gravity.process(chunk.xyz)
-        feature = gravity_feature(AccelWindow(sec, filtered.T))
-        us.append(feature.u)
-        predicted = forest.predict(feature.u)
+        filtered = gravity.process(per_frame_decode_raw([noisy]))
+        u = float(gravity_feature(filtered, sec)[0])
+        us.append(u)
+        predicted = forest.predict(u)
         posture_pred.append(predicted)
         event = controller.observe(predicted, sec)
         if event is None:
             continue
-        commands = dispatch(event, policy, ROOMS, ledger)
+        commands = dispatch(event, policy, ROOMS)
         event_lines.append(format_event(event))
         for command in commands:
             base_grid = (command.t * FPS) // SEGMENT_FRAMES
             camera = cameras[command.camera]
+            ledger.n_t += command.segments
             for k in range(command.segments):
                 grid = base_grid + k
                 if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
@@ -299,6 +297,30 @@ class TestRunSimulation:
         report = run_simulation(small_config(), untrained_codec, posture_forest)
         assert report.skipped_uploads == 0
         assert "skipped_uploads" not in report.to_dict()
+
+    def test_n_t_may_exceed_n_f(self, posture_forest):
+        """N_t counts uploads, not distinct segments: ACKs whose windows
+        overlap upload the same grid segments again, and each upload is
+        billed. A noisy accel link here validates 21 transitions in 44 s,
+        so N_t is more than twice N_f, and no N_t <= N_f check may be
+        added. No count reads a clip's class, so the video codec is
+        stubbed out: it would cost ~20 s for the 936 uploads."""
+        cfg = SimConfig(seed=3, scenario="sleeping:20,resting:20",
+                        validation_windows=1, segments_per_ack=16,
+                        accel_snr_db=-10.0, video_snr_db=float("inf"),
+                        accel_noise_g=1.0)
+        with mock.patch.object(RoomCamera, "segment_at_grid",
+                               lambda camera, grid: None), \
+                mock.patch.object(simulate, "encode",
+                                  lambda model, segment: np.ones(1)), \
+                mock.patch.object(simulate, "decode",
+                                  lambda model, frame: (np.zeros(5), None)):
+            report = run_simulation(cfg, CodecModel(seed=0), posture_forest)
+        assert report.n_events == 21
+        assert report.overhead["N_f"] == 411
+        assert report.overhead["N_t"] == report.uploads == 936
+        assert report.skipped_uploads == 72
+        assert 936 + 72 == 21 * 3 * 16
 
 
 INVALID_CONFIG_LINES = [
@@ -579,11 +601,11 @@ class TestBlockedUplink:
         cfg = SimConfig(**kwargs)
         us, postures, want = per_second_simulation(cfg, untrained_codec,
                                                    posture_forest)
-        trace, _ = gen_accel_trace(cfg.parse_scenario())
-        assert len(trace) // 50 in (block - 1, block, block + 1, 1)
+        xyz, _ = gen_accel_trace(cfg.parse_scenario())
+        assert len(xyz) // 50 in (block - 1, block, block + 1, 1)
         with mock.patch.object(simulate, "ACCEL_BLOCK_S", block):
             u, got_postures, clamped = posture_stream(
-                trace, Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1)),
+                xyz, Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1)),
                 posture_forest)
             got = run_simulation(cfg, untrained_codec, posture_forest)
         assert u.tobytes() == np.array(us).tobytes()
@@ -598,14 +620,13 @@ class TestBlockedUplink:
     def test_raw_codec_matches_per_frame(self, seed, seconds, extra_samples):
         rng = np.random.default_rng(seed)
         n = seconds * 50 + extra_samples
-        trace = AccelTrace(np.arange(n) / SAMPLE_RATE_HZ,
-                           rng.uniform(-4.5, 4.5, (n, 3)))
-        symbols, clamped = encode_raw(trace)
-        frames, want_clamped = per_frame_encode_raw(trace)
+        xyz = rng.uniform(-4.5, 4.5, (n, 3))
+        symbols, clamped = encode_raw(xyz)
+        frames, want_clamped = per_frame_encode_raw(xyz)
         assert clamped == want_clamped
         assert symbols.tobytes() == b"".join(f.symbols.tobytes() for f in frames)
         noisy = symbols + rng.normal(0.0, 0.01, symbols.shape)
         got = decode_raw(noisy)
         want = per_frame_decode_raw([SymbolFrame(row) for row in noisy])
-        assert got.xyz.tobytes() == want.xyz.tobytes()
-        assert got.t.tobytes() == want.t.tobytes()
+        assert got.shape == want.shape == (seconds * 50, 3)
+        assert got.tobytes() == want.tobytes()

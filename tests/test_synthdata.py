@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.accel import (SAMPLE_RATE_HZ, WINDOW_SAMPLES, AccelTrace,
-                          AccelWindow, GravityFilter, Posture,
-                          gravity_feature, window_block)
+from semcom.accel import WINDOW_SAMPLES, GravityFilter, Posture, gravity_feature
 from semcom.codec import SEGMENT_FRAMES, Activity
 from semcom.forest import train_forest
 from semcom.synthdata import (ACTIVITY_POSTURE, ACTIVITY_ROOM, BACKGROUND_LEVEL,
@@ -66,9 +64,8 @@ class TestAccelGenerator:
             if activity is None:
                 continue
             scenario = steady_scenario(activity, 5, accel_noise_g=0.0)
-            trace, truth = gen_accel_trace(scenario)
-            filtered = GravityFilter().process(trace.xyz)
-            u = gravity_feature(window_block(filtered)).u
+            xyz, truth = gen_accel_trace(scenario)
+            u = gravity_feature(GravityFilter().process(xyz))
             assert u.shape == (len(truth),)
             np.testing.assert_allclose(u, POSTURE_MEAN_COSINE[posture],
                                        rtol=0, atol=1e-9)
@@ -88,9 +85,9 @@ class TestAccelGenerator:
         u, y = make_posture_dataset(80, seed=1)
         forest = train_forest(u, y, seed=2)
         scenario = steady_scenario(Activity.SLEEPING, 60)
-        trace, truth = gen_accel_trace(scenario)
-        filtered = GravityFilter().process(trace.xyz)
-        predictions = forest.predict(gravity_feature(window_block(filtered)).u)
+        xyz, truth = gen_accel_trace(scenario)
+        predictions = forest.predict(
+            gravity_feature(GravityFilter().process(xyz)))
         assert predictions.tolist() == [int(Posture.LYING)] * 60
         assert truth == [Posture.LYING] * 60
 
@@ -103,9 +100,10 @@ class TestAccelGenerator:
     def test_trace_matches_truth_length(self):
         scenario = Scenario((ScenarioStep(Activity.RESTING, 7),
                              ScenarioStep(Activity.EATING, 8)))
-        trace, truth = gen_accel_trace(scenario)
+        xyz, truth = gen_accel_trace(scenario)
         assert len(truth) == 7 + WALK_SECONDS + 8
-        assert len(trace) == len(truth) * 50
+        assert xyz.shape == (len(truth) * 50, 3)
+        assert xyz.dtype == np.float64 and xyz.flags.c_contiguous
 
 
 class TestVideoGenerator:
@@ -195,7 +193,7 @@ class TestVideoGenerator:
 
 def per_second_accel_trace(scenario):
     """gen_accel_trace as it was before it drew the whole trace's noise at
-    once, kept verbatim as the oracle."""
+    once, kept as the oracle."""
     postures = posture_timeline(scenario)
     rng = _rng(scenario.seed, _ACCEL_STREAM)
     n = len(postures) * WINDOW_SAMPLES
@@ -206,8 +204,7 @@ def per_second_accel_trace(scenario):
             block = block + rng.normal(0.0, scenario.accel_noise_g,
                                        block.shape)
         xyz[sec * WINDOW_SAMPLES:(sec + 1) * WINDOW_SAMPLES] = block
-    t = np.arange(n) / SAMPLE_RATE_HZ
-    return AccelTrace(t, xyz), postures
+    return xyz, postures
 
 
 class TestAccelTraceOracle:
@@ -222,14 +219,14 @@ class TestAccelTraceOracle:
         scenario = Scenario(steps, seed=seed, accel_noise_g=noise_g)
         got, got_postures = gen_accel_trace(scenario)
         want, want_postures = per_second_accel_trace(scenario)
-        assert got.xyz.tobytes() == want.xyz.tobytes()
-        assert got.t.tobytes() == want.t.tobytes()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         assert got_postures == want_postures
 
 
 def per_window_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
-    """make_posture_dataset as it was before it ran the window-block
-    feature path, one AccelWindow per second, kept as the oracle."""
+    """make_posture_dataset as it was before it ran the feature over many
+    windows at once, one call per second, kept as the oracle."""
     us, labels = [], []
     rng = _rng(seed, _ACCEL_STREAM, _DATASET_STREAM)
     for posture in Posture:
@@ -239,9 +236,8 @@ def per_window_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
             xyz = xyz + rng.normal(0.0, accel_noise_g, xyz.shape)
         filtered = GravityFilter().process(xyz)
         for i in range(n_per_class):
-            window = AccelWindow(
-                i, filtered[i * WINDOW_SAMPLES:(i + 1) * WINDOW_SAMPLES].T)
-            us.append(gravity_feature(window).u)
+            window = filtered[i * WINDOW_SAMPLES:(i + 1) * WINDOW_SAMPLES]
+            us.append(float(gravity_feature(window, i)[0]))
             labels.append(int(posture))
     return np.array(us), np.array(labels, dtype=np.int64)
 
