@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -88,16 +88,22 @@ class VideoSegment:
     # (encoder key, SymbolFrame) of the last clean encode; see _clean_frame
     _encoded: tuple = field(default=None, init=False, repr=False,
                             compare=False)
+    # set by from_rgb_frames alone: frames is then a fresh C-order float64
+    # array in [0, 1] that no caller holds, kept without a copy or range scan
+    _fresh: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self):
-        frames = np.array(self.frames, dtype=np.float64, order="C")
+    def __post_init__(self, _fresh):
+        frames = self.frames
         expected = (3, SEGMENT_FRAMES, FRAME_HEIGHT, FRAME_WIDTH)
-        if frames.shape != expected:
+        if np.shape(frames) != expected:
             raise ShapeError(
-                f"segment frames must be {expected}, got {frames.shape}")
-        lo, hi = float(frames.min()), float(frames.max())
-        if lo < -1e-9 or hi > 1.0 + 1e-9:
-            raise ValueError(f"pixel values outside [0, 1]: min {lo}, max {hi}")
+                f"segment frames must be {expected}, got {np.shape(frames)}")
+        if not _fresh:
+            frames = np.array(frames, dtype=np.float64, order="C")
+            lo, hi = float(frames.min()), float(frames.max())
+            if lo < -1e-9 or hi > 1.0 + 1e-9:
+                raise ValueError(
+                    f"pixel values outside [0, 1]: min {lo}, max {hi}")
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
 
@@ -109,7 +115,7 @@ class VideoSegment:
             # channels-first while still 1 byte a pixel: the scaled copy is
             # then written in order, with the same values
             return cls(index, np.ascontiguousarray(
-                np.transpose(frames, (3, 0, 1, 2))) / 255.0)
+                np.transpose(frames, (3, 0, 1, 2))) / 255.0, _fresh=True)
         return cls(index, np.transpose(frames, (3, 0, 1, 2)))
 
 

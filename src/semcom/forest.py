@@ -1,10 +1,12 @@
 """Random-forest posture classifier over the scalar gravity-cosine feature.
 
 Trees are grown greedily on bootstrap resamples: candidate thresholds are
-the midpoints between consecutive sorted unique feature values, scored by
-weighted Gini impurity; the earliest candidate (in ascending threshold
-order) wins ties. A node becomes a leaf when it is pure, the depth limit
-is reached, it holds fewer than two samples, or no candidate split exists.
+the midpoints between consecutive sorted unique feature values. A node
+scores all of its candidates in one numpy pass (class-count prefix sums,
+then the weighted Gini impurity of every left and right side at once) and
+takes the first minimum, so the lowest threshold wins ties. A node becomes
+a leaf when it is pure, the depth limit is reached, it holds fewer than
+two samples, or no candidate split exists.
 
 Each tree is stored as flat node arrays (threshold, children, class-count
 histograms), which is also the on-disk layout inside the SEMW container.
@@ -26,21 +28,24 @@ _NO_CHILD = -1
 
 
 def gini(counts):
-    """Gini impurity of a class-count vector."""
+    """Gini impurity of each row of an (..., n_classes) array of class
+    counts: 1 - the sum of squared class shares, summed in class order.
+    A row with no samples has impurity 0."""
     counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+    total = counts.sum(axis=-1, keepdims=True)
+    p = np.divide(counts, total, out=np.zeros_like(counts), where=total > 0)
+    square_sum = np.zeros(counts.shape[:-1])
+    for c in range(counts.shape[-1]):
+        square_sum += p[..., c] * p[..., c]
+    return np.where(total[..., 0] > 0, 1.0 - square_sum, 0.0)
 
 
 def best_gini_split(u, y):
     """Best (threshold, weighted_gini) over midpoint candidates, or None.
 
-    Samples go left when u < threshold. Candidates are scanned in
-    ascending order and a strictly better cost is required to replace the
-    incumbent, so ties keep the lowest threshold.
+    Samples go left when u < threshold. All candidates are scored at once;
+    the first minimum in ascending threshold order wins, so ties keep the
+    lowest threshold.
     """
     order = np.argsort(u, kind="stable")
     us = u[order]
@@ -49,20 +54,19 @@ def best_gini_split(u, y):
     one_hot = np.zeros((n, N_CLASSES))
     one_hot[np.arange(n), ys] = 1.0
     prefix = np.cumsum(one_hot, axis=0)
-    total = prefix[-1]
     # candidate i splits between sorted positions i-1 and i
-    boundaries = np.nonzero(us[1:] > us[:-1])[0] + 1
-    best = None
-    for i in boundaries:
-        threshold = 0.5 * (us[i - 1] + us[i])
-        if not (us[i - 1] < threshold <= us[i]):
-            continue  # degenerate midpoint from adjacent floats
-        left = prefix[i - 1]
-        right = total - left
-        cost = (i * gini(left) + (n - i) * gini(right)) / n
-        if best is None or cost < best[1]:
-            best = (float(threshold), float(cost))
-    return best
+    i = np.nonzero(us[1:] > us[:-1])[0] + 1
+    threshold = 0.5 * (us[i - 1] + us[i])
+    # the midpoint of adjacent floats can round onto the lower one
+    valid = (us[i - 1] < threshold) & (threshold <= us[i])
+    i, threshold = i[valid], threshold[valid]
+    if i.size == 0:
+        return None
+    left = prefix[i - 1]
+    right = prefix[-1] - left
+    cost = (i * gini(left) + (n - i) * gini(right)) / n
+    best = int(np.argmin(cost))
+    return float(threshold[best]), float(cost[best])
 
 
 @dataclass
@@ -167,6 +171,8 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if not np.isfinite(u).all():
+        raise ValueError("features must be finite")
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got {n_trees}")
     if max_depth < 1:

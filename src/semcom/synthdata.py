@@ -239,6 +239,8 @@ def make_codec_dataset(n_per_class, seed=0):
 def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
     """(u, label) pairs from steady single-posture traces via the gravity
     filter and the windowed feature the simulated uplink runs."""
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     us = []
     rng = _rng(seed, _ACCEL_STREAM, _DATASET_STREAM)
     for posture in Posture:

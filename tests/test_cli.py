@@ -178,6 +178,15 @@ class TestDegenerateArguments:
         self.assert_one_line_error(capsys, "--seeds")
         assert not out.exists()
 
+    @pytest.mark.parametrize("per_class", ["0", "-1"])
+    def test_train_forest_per_class_below_one(self, tmp_path, capsys,
+                                              per_class):
+        out = tmp_path / "forest.semw"
+        assert main(["train-forest", "--per-class", per_class,
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "n_per_class must be >= 1")
+        assert not out.exists()
+
     def test_train_forest_zero_trees(self, tmp_path, capsys):
         out = tmp_path / "forest.semw"
         assert main(["train-forest", "--per-class", "5", "--trees", "0",

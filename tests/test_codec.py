@@ -423,6 +423,44 @@ class TestVideoSegmentImmutable:
         frames[...] = 0.25
         assert np.all(segment.frames == 0.5)
 
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_caller_array_range_checked(self, bad):
+        frames = np.full((3, 16, 112, 112), 0.5)
+        frames[2, 15, 111, 111] = bad
+        with pytest.raises(ValueError, match="outside"):
+            VideoSegment(0, frames)
+
+    def test_caller_float_clip_copied(self):
+        clip = np.full((16, 112, 112, 3), 0.5)
+        segment = VideoSegment.from_rgb_frames(0, clip)
+        assert not np.shares_memory(segment.frames, clip)
+        assert clip.flags.writeable and not segment.frames.flags.writeable
+        with pytest.raises(ValueError, match="outside"):
+            VideoSegment.from_rgb_frames(0, clip + 1.0)
+
+    def test_uint8_clip_shape_checked(self):
+        with pytest.raises(codec.ShapeError):
+            VideoSegment.from_rgb_frames(
+                0, np.zeros((15, 112, 112, 3), dtype=np.uint8))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 255), st.integers(0, 255))
+    def test_uint8_clip_equals_the_checked_constructor(self, seed, lo, hi):
+        """The uint8 path keeps its fresh scaled array without the copy
+        and range scan; the frames equal, bit for bit, those of the
+        constructor that copies and checks, kept verbatim here."""
+        lo, hi = min(lo, hi), max(lo, hi)
+        clip = np.random.default_rng(seed).integers(
+            lo, hi + 1, (16, 112, 112, 3), dtype=np.uint8)
+        want = np.array(np.ascontiguousarray(
+            np.transpose(clip, (3, 0, 1, 2))) / 255.0,
+            dtype=np.float64, order="C")
+        got = VideoSegment.from_rgb_frames(5, clip).frames
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, clip)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPersistence:
     def test_fresh_model_round_trip_bitwise(self, tmp_path):

@@ -1,11 +1,15 @@
-"""Random-forest tests with a brute-force Gini split oracle."""
+"""Random-forest tests with a brute-force Gini split oracle and the
+per-candidate split loop as a bitwise oracle."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semcom import forest as forest_module
 from semcom.accel import Posture
-from semcom.forest import (_NO_CHILD, RandomForest, Tree, best_gini_split,
+from semcom.forest import (_NO_CHILD, N_CLASSES, RandomForest, Tree, best_gini_split,
                            forest_from_arrays, forest_to_arrays, gini,
                            load_forest, save_forest, train_forest)
 
@@ -29,6 +33,44 @@ def brute_force_best_split(u, y, n_classes=4):
         cost = (left.size * impurity(left) + right.size * impurity(right)) / u.size
         if best is None or cost < best[1]:
             best = (threshold, cost)
+    return best
+
+
+def loop_gini(counts):
+    """Gini impurity of a class-count vector (the scalar gini as it was
+    before it took rows, kept verbatim but for its name)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+def loop_best_gini_split(u, y):
+    """best_gini_split as it was before it scored all candidates at once,
+    kept verbatim but for the names of it and its gini: one candidate at a
+    time, replaced only by a strictly lower cost."""
+    order = np.argsort(u, kind="stable")
+    us = u[order]
+    ys = y[order]
+    n = us.size
+    one_hot = np.zeros((n, N_CLASSES))
+    one_hot[np.arange(n), ys] = 1.0
+    prefix = np.cumsum(one_hot, axis=0)
+    total = prefix[-1]
+    # candidate i splits between sorted positions i-1 and i
+    boundaries = np.nonzero(us[1:] > us[:-1])[0] + 1
+    best = None
+    for i in boundaries:
+        threshold = 0.5 * (us[i - 1] + us[i])
+        if not (us[i - 1] < threshold <= us[i]):
+            continue  # degenerate midpoint from adjacent floats
+        left = prefix[i - 1]
+        right = total - left
+        cost = (i * loop_gini(left) + (n - i) * loop_gini(right)) / n
+        if best is None or cost < best[1]:
+            best = (float(threshold), float(cost))
     return best
 
 
@@ -65,9 +107,80 @@ class TestSplitOracle:
             assert mine[1] == pytest.approx(ref[1], abs=1e-12)
 
     def test_gini_values(self):
-        assert gini([10, 0, 0, 0]) == 0.0
-        assert gini([5, 5, 0, 0]) == pytest.approx(0.5)
-        assert gini([]) == 0.0
+        rows = gini([[10, 0, 0, 0], [5, 5, 0, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+        assert rows.tolist() == [0.0, 0.5, 0.75, 0.0]
+        assert gini(np.zeros((0, N_CLASSES))).shape == (0,)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 400), min_size=N_CLASSES,
+                             max_size=N_CLASSES), min_size=1, max_size=20))
+    def test_gini_rows_equal_the_scalar_gini(self, rows):
+        got = gini(rows)
+        assert got.shape == (len(rows),)
+        for value, row in zip(got, rows):
+            assert value.tobytes() == np.float64(loop_gini(row)).tobytes()
+
+
+def planted_ties(seed, n):
+    """n features rounded to 2 decimals (many ties), some replaced by the
+    next float above another feature, so that adjacent-float midpoints
+    that round onto the lower value come up; labels from 1 to 4 classes."""
+    rng = np.random.default_rng(seed)
+    u = np.round(rng.uniform(-1.0, 1.0, n), 2)
+    planted = rng.integers(0, n, int(rng.integers(0, n // 3 + 1)))
+    u[planted] = np.nextafter(u[rng.integers(0, n, planted.size)], np.inf)
+    y = rng.integers(0, int(rng.integers(1, N_CLASSES + 1)), n)
+    return u, y.astype(np.int64)
+
+
+class TestOnePassSplit:
+    """best_gini_split scores every candidate in one pass and gives the
+    per-candidate loop's (threshold, cost) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+    @example(seed=0, n=2)
+    @example(seed=7, n=400)
+    def test_equals_the_loop_bitwise(self, seed, n):
+        u, y = planted_ties(seed, n)
+        got = best_gini_split(u, y)
+        want = loop_best_gini_split(u, y)
+        if want is None:
+            assert got is None
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_degenerate_midpoint_skipped(self):
+        # 1 + ulp/2 rounds to even, onto 1.0: the only candidate is no split
+        u = np.array([1.0, np.nextafter(1.0, 2.0)])
+        assert 0.5 * (u[0] + u[1]) == u[0]
+        assert best_gini_split(u, np.array([0, 1])) is None
+        # beside a valid candidate, the degenerate one still drops out
+        u = np.array([0.0, 1.0, np.nextafter(1.0, 2.0)])
+        assert best_gini_split(u, np.array([0, 1, 2])) == \
+            loop_best_gini_split(u, np.array([0, 1, 2])) == (0.5, 1 / 3)
+
+    def test_tie_keeps_the_lowest_threshold(self):
+        # splitting off either end sample costs the same
+        u = np.array([0.0, 1.0, 2.0])
+        y = np.array([0, 1, 0])
+        assert best_gini_split(u, y) == loop_best_gini_split(u, y) == \
+            (0.5, 1 / 3)
+
+    def test_gini_called_at_most_twice_per_split(self):
+        counter = mock.patch.object(forest_module, "gini",
+                                    wraps=forest_module.gini)
+        splitter = mock.patch.object(forest_module, "best_gini_split",
+                                     wraps=forest_module.best_gini_split)
+        u, y = planted_ties(3, 400)
+        with counter as gini_calls:
+            assert best_gini_split(u, y) is not None
+            assert gini_calls.call_count <= 2
+        u, y = clusters([-0.5, 0.2, 0.7, 0.95], 0.2, 50, seed=4)
+        with counter as gini_calls, splitter as split_calls:
+            train_forest(u, y, seed=1)
+            assert split_calls.call_count > 10
+            assert gini_calls.call_count <= 2 * split_calls.call_count
 
 
 class TestTraining:
@@ -104,6 +217,13 @@ class TestTraining:
         forest = train_forest(u, y, n_trees=3, max_depth=4, seed=1)
         for tree in forest.trees:
             assert tree.max_path_depth() <= 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        u, y = clusters([-0.5, 0.5], 0.05, 10, seed=2)
+        u[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train_forest(u, y)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -88,6 +88,18 @@ def evaluate_digest():
     return digest.hexdigest()
 
 
+def posture_forest_digest():
+    """Every array of the posture forest that all the simulations above
+    train, in its SEMW order: names, then bytes."""
+    u, y = synthdata.make_posture_dataset(80, seed=1)
+    digest = hashlib.sha256()
+    for name, array in forest.forest_to_arrays(
+            forest.train_forest(u, y, seed=2)).items():
+        digest.update(name.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def _simulation_digest(seed, scenario):
     u, y = synthdata.make_posture_dataset(80, seed=1)
     posture_forest = forest.train_forest(u, y, seed=2)
@@ -158,6 +170,7 @@ def _simulation_internals(seed, scenario):
 
 
 DIGESTS = {"train": train_digest, "evaluate": evaluate_digest,
+           "posture_forest": posture_forest_digest,
            "simulation": simulation_digest,
            "simulation_long": long_simulation_digest,
            "simulation_posture_stream":

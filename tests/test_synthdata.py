@@ -81,6 +81,11 @@ class TestAccelGenerator:
             values = u[y == int(posture)]
             assert np.mean(values) == pytest.approx(mean, abs=0.02)
 
+    @pytest.mark.parametrize("n_per_class", [0, -1])
+    def test_fewer_than_one_per_class_rejected(self, n_per_class):
+        with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+            make_posture_dataset(n_per_class)
+
     def test_constant_sleeping_classifies_lying_closed_loop(self):
         u, y = make_posture_dataset(80, seed=1)
         forest = train_forest(u, y, seed=2)
@@ -243,8 +248,7 @@ def per_window_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
 
 
 class TestPostureDatasetOracle:
-    @pytest.mark.parametrize("n_per_class, seed", [(80, 1), (60, 0), (5, 3),
-                                                   (0, 2)])
+    @pytest.mark.parametrize("n_per_class, seed", [(80, 1), (60, 0), (5, 3)])
     def test_bytes_equal_per_window_features(self, n_per_class, seed):
         got_u, got_y = make_posture_dataset(n_per_class, seed=seed)
         want_u, want_y = per_window_posture_dataset(n_per_class, seed=seed)
