@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import codec, config, forest, overhead, simulate, synthdata, weights_io
-from .accel import write_trace_csv
+from .accel import POSTURE_NAMES, write_trace_csv
 from .tensor import (Conv3d, Linear, MaxPool3d, Network, ReLU, Reshape,
                      grad_check)
 
@@ -27,20 +27,16 @@ def _cmd_gen_data(args):
     write_trace_csv(os.path.join(args.out, "accel.csv"), xyz)
     with open(os.path.join(args.out, "postures.csv"), "w", encoding="utf-8") as fh:
         fh.write("second,posture\n")
-        for sec, p in enumerate(postures):
-            fh.write(f"{sec},{p.name.lower()}\n")
-    for room in synthdata.ROOMS:
-        camera = synthdata.RoomCamera(scenario, room)
-        frames = camera.frames(0, camera.total_frames)
-        weights_io.write_frames(os.path.join(args.out, f"{room}.semf"), frames)
+        for sec, code in enumerate(postures.tolist()):
+            fh.write(f"{sec},{POSTURE_NAMES[code]}\n")
     labels_path = os.path.join(args.out, "segment_labels.csv")
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("room,segment,activity\n")
-        camera0 = synthdata.RoomCamera(scenario, synthdata.ROOMS[0])
-        n_segments = camera0.total_frames // codec.SEGMENT_FRAMES
         for room in synthdata.ROOMS:
             camera = synthdata.RoomCamera(scenario, room)
-            for g in range(n_segments):
+            weights_io.write_frames(os.path.join(args.out, f"{room}.semf"),
+                                    camera.frames(0, camera.total_frames))
+            for g in range(camera.total_frames // codec.SEGMENT_FRAMES):
                 activity = camera.activity_at_grid(g)
                 name = ("none" if activity is None
                         else codec.ACTIVITY_NAMES[activity])

@@ -257,9 +257,8 @@ class CodecModel:
 
 
 def encode(model, segment, tape=None):
-    """Segment -> power-normalized SymbolFrame of 4,840 complex symbols."""
-    x = segment.frames if isinstance(segment, VideoSegment) else np.asarray(segment)
-    return model.encoder.forward(x, tape)
+    """VideoSegment -> power-normalized SymbolFrame of 4,840 complex symbols."""
+    return model.encoder.forward(segment.frames, tape)
 
 
 def decode(model, frame, tape=None):
@@ -377,8 +376,6 @@ def train(model, segments, labels, snr_train_db, config=None):
 def _clean_frame(model, segment, key):
     """encode(model, segment), reused from the segment while its cached
     encode was made by an encoder whose parameter bytes equal key."""
-    if not isinstance(segment, VideoSegment):
-        return encode(model, segment)
     cached = segment._encoded
     if cached is None or cached[0] != key:
         frame = encode(model, segment)

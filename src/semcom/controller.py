@@ -4,14 +4,15 @@ positive-ACK emission toward the cameras.
 A new posture becomes valid only after it has been observed in
 ``validation_windows`` consecutive 1 s windows (default 3: the change
 window plus two confirmations). Shorter blips fall back to the previous
-stable posture without emitting anything.
+stable posture without emitting anything. Postures are plain int codes
+(``accel.Posture`` values); event lines name them through POSTURE_NAMES.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .accel import Posture, POSTURE_NAMES
+from .accel import POSTURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class ControllerState(NamedTuple):
     pending; ``last_index`` enforces consecutive window indices.
     """
 
-    stable: Optional[Posture]
-    pending: Optional[Posture]
+    stable: Optional[int]
+    pending: Optional[int]
     pending_count: int
     last_index: Optional[int]
 
@@ -52,8 +53,8 @@ class ControlEvent:
     """A validated postural transition and the positive ACK it triggers."""
 
     t: int
-    from_posture: Posture
-    to_posture: Posture
+    from_posture: int
+    to_posture: int
     targets: tuple = ()
 
 

@@ -8,6 +8,9 @@ takes the first minimum, so the lowest threshold wins ties. A node becomes
 a leaf when it is pure, the depth limit is reached, it holds fewer than
 two samples, or no candidate split exists.
 
+Prediction takes an array of features and returns an int64 array of
+posture codes, one vote per tree and feature.
+
 Each tree is stored as flat node arrays (threshold, children, class-count
 histograms), which is also the on-disk layout inside the SEMW container.
 Thresholds are kept on the float32 grid so persistence is exact.
@@ -79,8 +82,7 @@ class Tree:
     hist: np.ndarray   # (n_nodes, n_classes) class counts
 
     def predict_class(self, u):
-        """Class of the leaf that u reaches: an int for a scalar u, an
-        int64 array for an array of features."""
+        """int64 array of the class of the leaf each feature of u reaches."""
         u = np.asarray(u, dtype=np.float64)
         node = np.zeros(u.shape, dtype=np.int64)
         inner = self.left[node] != _NO_CHILD
@@ -89,8 +91,7 @@ class Tree:
                             self.right[node])
             node = np.where(inner, down, node)
             inner = self.left[node] != _NO_CHILD
-        leaf_class = np.argmax(self.hist, axis=1)[node]   # lowest code wins ties
-        return int(leaf_class) if leaf_class.ndim == 0 else leaf_class
+        return np.argmax(self.hist, axis=1)[node]   # lowest code wins ties
 
     @property
     def n_nodes(self):
@@ -149,16 +150,12 @@ class RandomForest:
     seed: int = 0
 
     def predict(self, u):
-        """Plurality vote over tree class votes; ties go to the lowest code.
-
-        A scalar u gives a Posture; an array of features gives an int64
-        array of posture codes, one per feature.
-        """
+        """int64 array of posture codes, one per feature of the array u:
+        the plurality of the trees' votes, ties going to the lowest code."""
         classes = np.array([t.predict_class(u) for t in self.trees])
         votes = np.count_nonzero(
             classes[..., None] == np.arange(self.n_classes), axis=0)
-        codes = np.argmax(votes, axis=-1)
-        return Posture(int(codes)) if codes.ndim == 0 else codes
+        return np.argmax(votes, axis=-1)
 
 
 def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,

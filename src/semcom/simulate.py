@@ -10,12 +10,14 @@ each block is packed, sent, decoded, filtered and classified in one call
 per stage. Every stage works frame by frame inside the block (per-frame
 noise power, channel draws in frame order, filter state carried across
 blocks, one cosine feature and forest vote per window), so the
-per-second results are bitwise those of one-second steps. The
-controller then walks the stream second by second. A validated postural
-transition dispatches upload commands; every commanded camera uploads
-the current segment from its stride-16 grid, and the ledger bills each
-upload as N_t (ACKs with overlapping segments upload a segment again, so
-N_t can exceed N_f). An upload whose 16 frames would run past the end of
+per-second results are bitwise those of one-second steps. The predicted
+postures fill one int64 code array, the same kind as the ground truth
+that ``gen_accel_trace`` reads from the scenario's step timeline; the
+controller then walks the predictions second by second as plain ints.
+A validated postural transition dispatches upload commands; every
+commanded camera uploads the current segment from its stride-16 grid, and
+the ledger bills each upload as N_t (ACKs with overlapping segments
+upload a segment again, so N_t can exceed N_f). An upload whose 16 frames would run past the end of
 the scenario is skipped: it is counted in ``skipped_uploads`` and not
 billed.
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import overhead
-from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, GravityFilter, Posture,
+from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, GravityFilter,
                     decode_raw, encode_raw, gravity_feature)
 from .channel import Channel
 from .codec import (SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
@@ -89,7 +91,6 @@ class SimReport:
 # Seconds of accel uplink per block: long enough to amortize each stage's
 # per-call cost, short enough to keep the block's arrays small.
 ACCEL_BLOCK_S = 256
-_POSTURES = tuple(Posture)
 
 
 def _derived_seed(master, tag):
@@ -100,25 +101,24 @@ def _settled_mask(truth, settle_windows):
     """True where the ground-truth posture has held for settle_windows
     windows (the first run is settled from the start: the filter
     warm-starts there)."""
-    mask = np.zeros(len(truth), dtype=bool)
-    run_start = 0
-    first_run = True
-    for i in range(len(truth)):
-        if i > 0 and truth[i] != truth[i - 1]:
-            run_start = i
-            first_run = False
-        mask[i] = first_run or (i - run_start) >= settle_windows
-    return mask
+    truth = np.asarray(truth)
+    changes = np.flatnonzero(truth[1:] != truth[:-1]) + 1
+    run_start = np.zeros(len(truth), dtype=np.int64)
+    run_start[changes] = changes
+    run_start = np.maximum.accumulate(run_start)
+    age = np.arange(len(truth)) - run_start
+    return (run_start == 0) | (age >= settle_windows)
 
 
 def posture_stream(xyz, accel_channel, forest):
     """The accel uplink over a whole trace of (n, 3) samples: returns (u,
     postures, clamped), the per-second cosine features, the forest's
-    posture for each second and the number of clamped samples."""
+    int64 posture code for each second and the number of clamped
+    samples."""
     seconds = len(xyz) // WINDOW_SAMPLES
     gravity = GravityFilter()
     u = np.empty(seconds)
-    postures = []
+    postures = np.empty(seconds, dtype=np.int64)
     clamped = 0
     for start in range(0, seconds, ACCEL_BLOCK_S):
         stop = min(start + ACCEL_BLOCK_S, seconds)
@@ -128,8 +128,7 @@ def posture_stream(xyz, accel_channel, forest):
         received = decode_raw(accel_channel.send(symbols))
         block_u = gravity_feature(gravity.process(received), start)
         u[start:stop] = block_u
-        postures.extend(_POSTURES[code]
-                        for code in forest.predict(block_u).tolist())
+        postures[start:stop] = forest.predict(block_u)
     return u, postures, clamped
 
 
@@ -154,7 +153,7 @@ def run_simulation(cfg, codec_model, forest):
     truthed_correct = 0
     skipped = 0
     event_lines = []
-    for sec, predicted in enumerate(posture_pred):
+    for sec, predicted in enumerate(posture_pred.tolist()):
         event = controller.observe(predicted, sec)
         if event is None:
             continue
@@ -191,15 +190,13 @@ def run_simulation(cfg, codec_model, forest):
         n_t=uploads, raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred))
 
     # posture bookkeeping
-    truth_arr = [int(p) for p in posture_truth]
-    pred_arr = [int(p) for p in posture_pred]
-    settled = _settled_mask(truth_arr, cfg.settle_windows)
-    correct = np.array([t == p for t, p in zip(truth_arr, pred_arr)])
+    settled = _settled_mask(posture_truth, cfg.settle_windows)
+    correct = posture_truth == posture_pred
     n_settled = int(settled.sum())
     posture_stats = {
-        "total_windows": len(truth_arr),
+        "total_windows": len(posture_truth),
         "settled_windows": n_settled,
-        "raw_accuracy": float(correct.mean()) if truth_arr else None,
+        "raw_accuracy": float(correct.mean()) if correct.size else None,
         "settled_accuracy": (float(correct[settled].mean())
                              if n_settled else None),
     }

@@ -3,7 +3,10 @@
 The smart-home layout is three rooms with one camera each; activities map
 to fixed rooms and body postures. Transitions between scenario steps pass
 through 4 s of walking (the person moves between rooms), during which no
-room shows an activity.
+room shows an activity. ``step_timeline`` is the one per-second timeline
+(each second's index into the scenario's steps, -1 while walking); the
+posture truth, the camera frames and the segment labels are all read
+from it.
 
 Video: the active room renders its activity's blob at a class-specific
 position, drifting with a class-specific velocity that loops every 16
@@ -19,8 +22,8 @@ seeds reproduce identical frames. Frames are 8-bit RGB.
 
 Acceleration: each posture has a fixed mean cosine against [0,0,1]; the
 generator emits that gravity direction plus per-sample motion noise at
-50 Hz. With zero noise the windowed cosine feature equals the configured
-mean exactly.
+50 Hz, with the per-second truth as int64 posture codes. With zero noise
+the windowed cosine feature equals the configured mean exactly.
 """
 from __future__ import annotations
 
@@ -141,30 +144,17 @@ def demo_scenario(seed=0, dwell_s=20):
     return Scenario(steps, seed=seed).validate()
 
 
-def activity_timeline(scenario):
-    """Per-second (activity, room) truth; None while walking between steps."""
-    timeline = []
-    for i, step in enumerate(scenario.steps):
-        if i > 0:
-            timeline.extend([None] * WALK_SECONDS)
-        timeline.extend([(step.activity, ACTIVITY_ROOM[step.activity])]
-                        * step.duration_s)
-    return timeline
-
-
-def posture_timeline(scenario):
-    """Per-second ground-truth posture, walking during interludes."""
-    timeline = []
-    for i, step in enumerate(scenario.steps):
-        if i > 0:
-            timeline.extend([Posture.WALKING] * WALK_SECONDS)
-        timeline.extend([ACTIVITY_POSTURE[step.activity]] * step.duration_s)
-    return timeline
-
-
-def timeline_seconds(scenario):
-    return (sum(s.duration_s for s in scenario.steps)
-            + WALK_SECONDS * (len(scenario.steps) - 1))
+def step_timeline(scenario):
+    """The scenario's one per-second timeline: an int64 array holding, for
+    each second, the index of the step in ``scenario.steps``, or -1 during
+    the WALK_SECONDS of walking before every step after the first."""
+    n = len(scenario.steps)
+    index = np.full(2 * n, -1, dtype=np.int64)
+    index[1::2] = np.arange(n)
+    seconds = np.full(2 * n, WALK_SECONDS)
+    seconds[:1] = 0
+    seconds[1::2] = [step.duration_s for step in scenario.steps]
+    return np.repeat(index, seconds)
 
 
 def gravity_direction(posture):
@@ -175,8 +165,12 @@ def gravity_direction(posture):
 
 def gen_accel_trace(scenario):
     """(xyz, postures): the (n, 3) 50 Hz acceleration samples and the
-    per-second posture ground truth."""
-    postures = posture_timeline(scenario)
+    per-second ground-truth posture codes as an int64 array."""
+    # each step's posture, then WALKING, which the timeline's -1 reads
+    step_postures = np.array(
+        [ACTIVITY_POSTURE[step.activity] for step in scenario.steps]
+        + [Posture.WALKING], dtype=np.int64)
+    postures = step_postures[step_timeline(scenario)]
     rng = _rng(scenario.seed, _ACCEL_STREAM)
     n = len(postures) * WINDOW_SAMPLES
     noise_g = scenario.accel_noise_g
@@ -184,7 +178,7 @@ def gen_accel_trace(scenario):
     xyz = rng.normal(0.0, noise_g, (n, 3)) if noise_g > 0 else np.zeros((n, 3))
     per_second = xyz.reshape(-1, WINDOW_SAMPLES, 3)   # a view of xyz
     directions = np.array([gravity_direction(p) for p in Posture])
-    per_second += directions[np.array(postures, dtype=np.int64)].reshape(-1, 1, 3)
+    per_second += directions[postures].reshape(-1, 1, 3)
     return xyz, postures
 
 
@@ -236,9 +230,10 @@ def make_codec_dataset(n_per_class, seed=0):
     return segments, labels
 
 
-def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
-    """(u, label) pairs from steady single-posture traces via the gravity
-    filter and the windowed feature the simulated uplink runs."""
+def make_posture_dataset(n_per_class, seed=0):
+    """(u, label) pairs from steady single-posture traces with the default
+    Scenario's accel noise, via the gravity filter and the windowed
+    feature the simulated uplink runs."""
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     us = []
@@ -246,8 +241,7 @@ def make_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
     for posture in Posture:
         direction = gravity_direction(posture)
         xyz = np.tile(direction, (n_per_class * WINDOW_SAMPLES, 1))
-        if accel_noise_g > 0:
-            xyz = xyz + rng.normal(0.0, accel_noise_g, xyz.shape)
+        xyz = xyz + rng.normal(0.0, Scenario.accel_noise_g, xyz.shape)
         us.append(gravity_feature(GravityFilter().process(xyz)))
     labels = np.repeat(np.arange(len(Posture), dtype=np.int64), n_per_class)
     return np.concatenate(us), labels
@@ -266,17 +260,8 @@ class RoomCamera:
             raise ValueError(f"unknown room {room!r}")
         self.scenario = scenario
         self.room = room
-        self._timeline = activity_timeline(scenario)
+        self._steps = step_timeline(scenario)
         self._step_jitter = {}
-        self._steps_by_second = self._index_steps()
-
-    def _index_steps(self):
-        by_second = []
-        for i, step in enumerate(self.scenario.steps):
-            if i > 0:
-                by_second.extend([None] * WALK_SECONDS)
-            by_second.extend([i] * step.duration_s)
-        return by_second
 
     def _jitter_for_step(self, step_idx):
         if step_idx not in self._step_jitter:
@@ -293,24 +278,23 @@ class RoomCamera:
 
     @property
     def total_frames(self):
-        return len(self._timeline) * FPS
+        return len(self._steps) * FPS
 
     def frame(self, frame_index):
         """(H, W, 3) uint8 frame at an absolute stream index."""
         if not 0 <= frame_index < self.total_frames:
             raise IndexError(f"frame {frame_index} outside the scenario's "
                              f"{self.total_frames} frames")
-        second = frame_index // FPS
-        entry = self._timeline[second]
-        active = entry is not None and entry[1] == self.room
+        step_idx = int(self._steps[frame_index // FPS])
         noise_rng = _rng(self.scenario.seed, _VIDEO_NOISE_STREAM,
                          ROOMS.index(self.room), frame_index)
-        if active:
-            step_idx = self._steps_by_second[second]
-            jitter_rc, amplitude = self._jitter_for_step(step_idx)
-            return render_frame(entry[0], frame_index % SEGMENT_FRAMES,
-                                jitter_rc, amplitude, noise_rng,
-                                self.scenario.pixel_noise)
+        if step_idx >= 0:
+            activity = self.scenario.steps[step_idx].activity
+            if ACTIVITY_ROOM[activity] == self.room:
+                jitter_rc, amplitude = self._jitter_for_step(step_idx)
+                return render_frame(activity, frame_index % SEGMENT_FRAMES,
+                                    jitter_rc, amplitude, noise_rng,
+                                    self.scenario.pixel_noise)
         return render_frame(None, 0, (0, 0), 0.0, noise_rng,
                             self.scenario.pixel_noise)
 
@@ -328,9 +312,10 @@ class RoomCamera:
         if grid_index < 0:
             raise IndexError(f"segment {grid_index} outside the scenario")
         second = (grid_index * SEGMENT_FRAMES) // FPS
-        if second >= len(self._timeline):
+        if second >= len(self._steps) or self._steps[second] < 0:
             return None
-        return self._timeline[second]
+        activity = self.scenario.steps[self._steps[second]].activity
+        return activity, ACTIVITY_ROOM[activity]
 
     def activity_at_grid(self, grid_index):
         """The activity this room films in grid segment grid_index, or None

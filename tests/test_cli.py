@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from semcom.cli import main
@@ -225,5 +226,6 @@ class TestDegenerateArguments:
         printed = capsys.readouterr().out
         forest = load_forest(out)
         u, y = make_posture_dataset(20, seed=0)
-        acc = sum(int(forest.predict(v)) == int(t) for v, t in zip(u, y))
+        acc = sum(int(forest.predict(np.array([v]))[0]) == int(t)
+                  for v, t in zip(u, y))
         assert f"training accuracy {acc / len(u):.3f};" in printed

@@ -22,8 +22,8 @@ from semcom.codec import (DEEP_FEATURE_SHAPE, FEATURE_SHAPE,
                           parse_activity, power_normalize, sample_gradients,
                           save_model, train)
 from semcom.synthdata import make_codec_dataset
-from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU, Tape,
-                           softmax_cross_entropy)
+from semcom.tensor import (Conv3d, MaxPool3d, Network, ReLU, ShapeError,
+                           Tape, softmax_cross_entropy)
 from semcom.weights_io import (ContainerFormatError, ContainerTruncatedError)
 
 
@@ -124,8 +124,8 @@ class TestEncode:
         assert symbols_to_floats(symbols).tobytes() == feature.tobytes()
 
     def test_wrong_shape_rejected(self, model):
-        with pytest.raises(Exception):
-            encode(model, np.zeros((3, 8, 112, 112)))
+        with pytest.raises(ShapeError, match="segment frames must be"):
+            encode(model, VideoSegment(0, np.zeros((3, 8, 112, 112))))
 
 
 class TestDecode:

@@ -190,14 +190,13 @@ class TestTraining:
         forest = train_forest(u, y, n_trees=5, seed=3)
         for tree in forest.trees:
             assert tree.n_nodes == 1
-            assert tree.predict_class(0.0) == 2
-        assert forest.predict(123.0) == Posture.STANDING
+            assert tree.predict_class(np.zeros(1)).tolist() == [2]
+        assert forest.predict(np.array([123.0])).tolist() == [Posture.STANDING]
 
     def test_separable_clusters_train_perfectly(self):
         u, y = clusters([-0.9, 0.3, 0.7, 0.95], 0.02, 40, seed=5)
         forest = train_forest(u, y, seed=0)
-        predictions = [int(forest.predict(v)) for v in u]
-        assert predictions == list(y)
+        assert forest.predict(u).tolist() == y.tolist()
 
     def test_depth1_single_tree_equals_oracle_threshold(self):
         u, y = clusters([-0.5, 0.6], 0.05, 25, seed=9)
@@ -258,30 +257,31 @@ class TestPrediction:
     def test_vote_tie_goes_to_lowest_code(self):
         forest = RandomForest([self._leaf_tree([0, 5, 0, 0]),
                                self._leaf_tree([5, 0, 0, 0])])
-        assert forest.predict(0.0) == Posture.LYING
+        assert forest.predict(np.zeros(1)).tolist() == [Posture.LYING]
 
     def test_leaf_tie_goes_to_lowest_code(self):
         forest = RandomForest([self._leaf_tree([3, 3, 0, 0])])
-        assert forest.predict(0.0) == Posture.LYING
+        assert forest.predict(np.zeros(1)).tolist() == [Posture.LYING]
 
     def test_identical_trees_match_single_tree(self):
         u, y = clusters([-0.5, 0.9], 0.05, 20, seed=4)
         single = train_forest(u, y, n_trees=1, seed=5)
         triple = RandomForest(single.trees * 3)
-        for v in np.linspace(-1, 1, 21):
-            assert single.predict(v) == triple.predict(v)
+        grid = np.linspace(-1, 1, 21)
+        assert single.predict(grid).tolist() == triple.predict(grid).tolist()
 
     def test_duplicating_trees_invariant(self):
         u, y = clusters([-0.5, 0.2, 0.7, 0.95], 0.05, 20, seed=6)
         forest = train_forest(u, y, seed=8)
         doubled = RandomForest(forest.trees * 2)
-        for v in np.linspace(-1.2, 1.2, 30):
-            assert forest.predict(v) == doubled.predict(v)
+        grid = np.linspace(-1.2, 1.2, 30)
+        assert forest.predict(grid).tolist() == doubled.predict(grid).tolist()
 
     def test_extrapolation_below_range(self):
         u, y = clusters([0.2, 0.8], 0.05, 30, seed=7)
         forest = train_forest(u, y, seed=9)
-        assert forest.predict(-100.0) == forest.predict(0.0)
+        far, near = forest.predict(np.array([-100.0, 0.0]))
+        assert far == near
 
 
 class TestPersistence:
@@ -306,8 +306,8 @@ class TestPersistence:
         u, y = clusters([-0.5, 0.5], 0.05, 15, seed=11)
         forest = train_forest(u, y, n_trees=2, seed=2)
         rebuilt = forest_from_arrays(forest_to_arrays(forest))
-        for v in np.linspace(-1, 1, 11):
-            assert forest.predict(v) == rebuilt.predict(v)
+        grid = np.linspace(-1, 1, 11)
+        assert forest.predict(grid).tolist() == rebuilt.predict(grid).tolist()
 
     def test_missing_meta_rejected(self):
         from semcom.weights_io import ContainerFormatError
@@ -389,9 +389,4 @@ class TestVectorizedVotes:
                                leaf_tree([1, 1, 1, 1]), leaf_tree([0, 0, 0, 2])])
         # votes: 1 LYING (leaf tie), 1 SITTING, 1 STANDING, 1 WALKING
         assert forest.predict(np.zeros(3)).tolist() == [0, 0, 0]
-        assert forest.predict(0.0) == scalar_predict(forest, 0.0) == Posture.LYING
-
-    def test_scalar_gives_posture(self):
-        forest = RandomForest([leaf_tree([0, 0, 5, 0])])
-        assert type(forest.predict(0.3)) is Posture
-        assert type(forest.trees[0].predict_class(0.3)) is int
+        assert scalar_predict(forest, 0.0) == Posture.LYING

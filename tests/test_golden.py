@@ -202,8 +202,8 @@ def test_output_bytes_unchanged(golden, name):
 def test_long_simulation_spans_several_blocks():
     """The long simulation crosses the accel uplink's block edges and ends
     in a partial block."""
-    seconds = synthdata.timeline_seconds(
-        SimConfig(scenario=LONG_SIM_SCENARIO).parse_scenario())
+    seconds = len(synthdata.step_timeline(
+        SimConfig(scenario=LONG_SIM_SCENARIO).parse_scenario()))
     assert seconds > 3 * simulate.ACCEL_BLOCK_S
     assert seconds % simulate.ACCEL_BLOCK_S
 

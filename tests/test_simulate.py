@@ -33,8 +33,9 @@ from semcom.synthdata import (FPS, ROOMS, WALK_SECONDS, RoomCamera,
 
 # The accel uplink as it ran before blocks, one second per step: the raw
 # codec, then the simulation loop that also rendered, encoded and decoded
-# every idle-room upload, kept as the oracle; only its accel types and its
-# N_t bookkeeping were ported when those left the program.
+# every idle-room upload, kept as the oracle; only its accel types, its
+# N_t bookkeeping and its scalar forest call were ported when those left
+# the program.
 @dataclass
 class UploadRecord:
     t: int
@@ -111,7 +112,7 @@ def per_second_simulation(cfg, codec_model, forest):
         filtered = gravity.process(per_frame_decode_raw([noisy]))
         u = float(gravity_feature(filtered, sec)[0])
         us.append(u)
-        predicted = forest.predict(u)
+        predicted = int(forest.predict(np.array([u]))[0])
         posture_pred.append(predicted)
         event = controller.observe(predicted, sec)
         if event is None:
@@ -143,7 +144,7 @@ def per_second_simulation(cfg, codec_model, forest):
     # posture bookkeeping
     truth_arr = [int(p) for p in posture_truth]
     pred_arr = [int(p) for p in posture_pred]
-    settled = _settled_mask(truth_arr, cfg.settle_windows)
+    settled = loop_settled_mask(truth_arr, cfg.settle_windows)
     correct = np.array([t == p for t, p in zip(truth_arr, pred_arr)])
     n_settled = int(settled.sum())
     posture_stats = {
@@ -203,7 +204,35 @@ def small_config(**overrides):
     return SimConfig(**values)
 
 
+def loop_settled_mask(truth, settle_windows):
+    """_settled_mask as it was before it found run starts with numpy, kept
+    verbatim as the oracle."""
+    mask = np.zeros(len(truth), dtype=bool)
+    run_start = 0
+    first_run = True
+    for i in range(len(truth)):
+        if i > 0 and truth[i] != truth[i - 1]:
+            run_start = i
+            first_run = False
+        mask[i] = first_run or (i - run_start) >= settle_windows
+    return mask
+
+
 class TestSettledMask:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)),
+                    max_size=8).map(
+               lambda runs: [code for code, n in runs for _ in range(n)]),
+           st.integers(0, 8), st.booleans())
+    def test_matches_loop(self, truth, settle_windows, as_array):
+        # runs of posture codes, as lists or as the int64 truth arrays
+        # run_simulation passes
+        given_truth = np.array(truth, dtype=np.int64) if as_array else truth
+        got = _settled_mask(given_truth, settle_windows)
+        want = loop_settled_mask(truth, settle_windows)
+        assert got.dtype == want.dtype == np.bool_
+        assert got.tolist() == want.tolist()
+
     def test_first_run_fully_settled(self):
         mask = _settled_mask([0, 0, 0, 0], settle_windows=3)
         assert mask.tolist() == [True] * 4
@@ -609,8 +638,8 @@ class TestBlockedUplink:
                 posture_forest)
             got = run_simulation(cfg, untrained_codec, posture_forest)
         assert u.tobytes() == np.array(us).tobytes()
-        assert got_postures == postures
-        assert all(type(p) is type(q) for p, q in zip(got_postures, postures))
+        assert got_postures.dtype == np.int64
+        assert got_postures.tolist() == postures
         assert clamped == want.clamped_samples == got.clamped_samples
         assert got.to_json() == want.to_json()
         assert got.event_lines == want.event_lines

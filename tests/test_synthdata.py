@@ -9,32 +9,63 @@ from semcom.accel import WINDOW_SAMPLES, GravityFilter, Posture, gravity_feature
 from semcom.codec import SEGMENT_FRAMES, Activity
 from semcom.forest import train_forest
 from semcom.synthdata import (ACTIVITY_POSTURE, ACTIVITY_ROOM, BACKGROUND_LEVEL,
-                              POSTURE_MEAN_COSINE, ROOMS, WALK_SECONDS,
+                              FPS, POSTURE_MEAN_COSINE, ROOMS, WALK_SECONDS,
                               _ACCEL_STREAM, _DATASET_STREAM, RoomCamera,
-                              Scenario,
-                              ScenarioStep, _rng, activity_timeline,
-                              demo_scenario,
+                              Scenario, ScenarioStep, _rng, demo_scenario,
                               gen_accel_trace, gravity_direction,
                               make_codec_dataset, make_posture_dataset,
-                              posture_timeline, timeline_seconds)
+                              render_frame, step_timeline, _VIDEO_NOISE_STREAM)
 
 
 def steady_scenario(activity, seconds, **kwargs):
     return Scenario((ScenarioStep(activity, seconds),), **kwargs).validate()
 
 
+# activity_timeline and posture_timeline are the list timelines that
+# step_timeline replaced, kept verbatim as oracles (TestStepTimelineOracle)
+def activity_timeline(scenario):
+    """Per-second (activity, room) truth; None while walking between steps."""
+    timeline = []
+    for i, step in enumerate(scenario.steps):
+        if i > 0:
+            timeline.extend([None] * WALK_SECONDS)
+        timeline.extend([(step.activity, ACTIVITY_ROOM[step.activity])]
+                        * step.duration_s)
+    return timeline
+
+
+def posture_timeline(scenario):
+    """Per-second ground-truth posture, walking during interludes."""
+    timeline = []
+    for i, step in enumerate(scenario.steps):
+        if i > 0:
+            timeline.extend([Posture.WALKING] * WALK_SECONDS)
+        timeline.extend([ACTIVITY_POSTURE[step.activity]] * step.duration_s)
+    return timeline
+
+
+def scenarios(min_steps=0, max_steps=6):
+    return st.builds(
+        lambda steps, seed: Scenario(tuple(steps), seed=seed),
+        st.lists(st.builds(ScenarioStep, st.sampled_from(list(Activity)),
+                           st.integers(0, 30)),
+                 min_size=min_steps, max_size=max_steps),
+        st.integers(0, 2**32 - 1))
+
+
 class TestTimeline:
     def test_walking_inserted_between_steps(self):
         scenario = Scenario((ScenarioStep(Activity.SLEEPING, 5),
                              ScenarioStep(Activity.EATING, 6)))
-        postures = posture_timeline(scenario)
-        assert postures == ([Posture.LYING] * 5 + [Posture.WALKING] * WALK_SECONDS
-                            + [Posture.SITTING] * 6)
-        activities = activity_timeline(scenario)
-        assert activities[:5] == [(Activity.SLEEPING, "bedroom")] * 5
-        assert activities[5:5 + WALK_SECONDS] == [None] * WALK_SECONDS
-        assert activities[-6:] == [(Activity.EATING, "kitchen")] * 6
-        assert timeline_seconds(scenario) == 15
+        steps = step_timeline(scenario)
+        assert steps.dtype == np.int64
+        assert steps.tolist() == [0] * 5 + [-1] * WALK_SECONDS + [1] * 6
+        _, postures = gen_accel_trace(scenario)
+        assert postures.dtype == np.int64
+        assert postures.tolist() == ([Posture.LYING] * 5
+                                     + [Posture.WALKING] * WALK_SECONDS
+                                     + [Posture.SITTING] * 6)
+        assert RoomCamera(scenario, "kitchen").total_frames == 15 * FPS
 
     def test_room_and_posture_maps(self):
         assert ACTIVITY_ROOM[Activity.SLEEPING] == "bedroom"
@@ -56,6 +87,73 @@ class TestTimeline:
         assert [s.activity for s in scenario.steps] == list(Activity)
 
 
+def timeline_frame(camera, frame_index):
+    """RoomCamera.frame as it was when it read activity_timeline and a
+    per-second list of step indices, kept as the oracle."""
+    steps_by_second = []
+    for i, step in enumerate(camera.scenario.steps):
+        if i > 0:
+            steps_by_second.extend([None] * WALK_SECONDS)
+        steps_by_second.extend([i] * step.duration_s)
+    second = frame_index // FPS
+    entry = activity_timeline(camera.scenario)[second]
+    active = entry is not None and entry[1] == camera.room
+    noise_rng = _rng(camera.scenario.seed, _VIDEO_NOISE_STREAM,
+                     ROOMS.index(camera.room), frame_index)
+    if active:
+        step_idx = steps_by_second[second]
+        jitter_rc, amplitude = camera._jitter_for_step(step_idx)
+        return render_frame(entry[0], frame_index % SEGMENT_FRAMES,
+                            jitter_rc, amplitude, noise_rng,
+                            camera.scenario.pixel_noise)
+    return render_frame(None, 0, (0, 0), 0.0, noise_rng,
+                        camera.scenario.pixel_noise)
+
+
+class TestStepTimelineOracle:
+    """Posture truth, segment labels and frames read from step_timeline
+    equal those of the per-second list timelines it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    def test_lengths_and_postures(self, scenario):
+        steps = step_timeline(scenario)
+        want = posture_timeline(scenario)
+        assert steps.dtype == np.int64 and steps.shape == (len(want),)
+        assert len(steps) == len(activity_timeline(scenario))
+        _, postures = gen_accel_trace(scenario)
+        assert postures.dtype == np.int64
+        assert postures.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    def test_segment_labels(self, scenario):
+        want = activity_timeline(scenario)
+        for room in ROOMS:
+            cam = RoomCamera(scenario, room)
+            assert cam.total_frames == len(want) * FPS
+            for grid in range(cam.total_frames // SEGMENT_FRAMES + 2):
+                second = grid * SEGMENT_FRAMES // FPS
+                label = want[second] if second < len(want) else None
+                assert cam.segment_label(grid) == label
+                assert cam.activity_at_grid(grid) == (
+                    label[0] if label is not None and label[1] == room
+                    else None)
+
+    @settings(max_examples=20, deadline=None)
+    @given(scenarios(min_steps=1), st.lists(st.floats(0, 1, exclude_max=True),
+                                            min_size=1, max_size=4))
+    def test_frames(self, scenario, positions):
+        for room in ROOMS:
+            cam = RoomCamera(scenario, room)
+            for position in positions:
+                index = int(position * cam.total_frames)
+                if index >= cam.total_frames:
+                    continue
+                assert (cam.frame(index).tobytes()
+                        == timeline_frame(cam, index).tobytes())
+
+
 class TestAccelGenerator:
     def test_zero_noise_u_equals_configured_mean(self):
         for posture in Posture:
@@ -66,7 +164,7 @@ class TestAccelGenerator:
             scenario = steady_scenario(activity, 5, accel_noise_g=0.0)
             xyz, truth = gen_accel_trace(scenario)
             u = gravity_feature(GravityFilter().process(xyz))
-            assert u.shape == (len(truth),)
+            assert u.shape == truth.shape
             np.testing.assert_allclose(u, POSTURE_MEAN_COSINE[posture],
                                        rtol=0, atol=1e-9)
 
@@ -94,7 +192,7 @@ class TestAccelGenerator:
         predictions = forest.predict(
             gravity_feature(GravityFilter().process(xyz)))
         assert predictions.tolist() == [int(Posture.LYING)] * 60
-        assert truth == [Posture.LYING] * 60
+        assert truth.tolist() == [Posture.LYING] * 60
 
     def test_gravity_direction_is_unit_with_exact_cosine(self):
         for posture, cosine in POSTURE_MEAN_COSINE.items():
@@ -226,7 +324,8 @@ class TestAccelTraceOracle:
         want, want_postures = per_second_accel_trace(scenario)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert got_postures == want_postures
+        assert got_postures.dtype == np.int64
+        assert got_postures.tolist() == want_postures
 
 
 def per_window_posture_dataset(n_per_class, seed=0, accel_noise_g=0.05):
