@@ -4,7 +4,11 @@ passes, plain SGD, and a finite-difference gradient checker.
 Every convolution forward runs one kernel, ``Conv3d._correlate``: per
 kernel tap, one matmul of the tap's weights with a contiguous column slice
 of the flattened padded input, accumulated over cache-sized slabs of output
-depth rows. Its bytes are those of a per-tap matmul over copied windows,
+depth rows. Each tap's product goes into the accumulator in place, through
+one call of numpy's own OpenBLAS dgemm with beta = 1, reached with ctypes.
+A matmul with a unit dimension or a deep input (see ``_correlate``), and
+every tap on a numpy without that dgemm, runs ``acc += W_tap @ slice``
+instead. Its bytes are those of a per-tap matmul over copied windows,
 because each output gets the same gemm products in the same order.
 
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
@@ -15,10 +19,13 @@ outputs bitwise equal to the three separate layers.
 All arrays are C-contiguous float64 ndarrays. Layers hold parameters only;
 per-call activations live on an explicit :class:`Tape`, so inference with
 ``tape=None`` is a pure function and a shared model is safe to use from
-several threads. Convolution stride is fixed at 1; pooling uses floor-mode
-window arithmetic (trailing remainder dropped).
+several threads: the dgemm calls release the interpreter lock, and each
+call writes only its own accumulator. Convolution stride is fixed at 1;
+pooling uses floor-mode window arithmetic (trailing remainder dropped).
 """
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -30,6 +37,33 @@ AXIS_NAMES = ("channels", "depth", "height", "width")
 # the tap product and the input slice. The codec's 114 x 114 padded encoder
 # plane then runs one depth row per slab, and every decoder plane one slab.
 _SLAB_COLUMNS = 16384
+
+# Most input channels a tap's in-place dgemm may sum over. OpenBLAS splits a
+# deeper product into panels (384 deep on its AVX-512 kernel, 256 on
+# Haswell's) and adds each panel onto C, so with beta = 1 the accumulator
+# would join the first panel's sum instead of the whole product.
+_GEMM_MAX_CHANNELS = 64
+
+
+def _load_dgemm():
+    """numpy's own ILP64 OpenBLAS cblas_dgemm, or None where numpy is not
+    built on scipy-openblas (its symbols then carry other names)."""
+    try:
+        from numpy._core import _multiarray_umath
+        dgemm = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dgemm64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    # (order, trans_a, trans_b, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc)
+    dgemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [dbl, ptr, i64, ptr, i64,
+                                                       dbl, ptr, i64]
+    dgemm.restype = None
+    return dgemm
+
+
+_DGEMM = _load_dgemm()
+_ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
+_ONE = ctypes.c_double(1.0)
 
 
 class ShapeError(ValueError):
@@ -140,6 +174,20 @@ class Conv3d:
         padded (H, W) planes up to the last column its outputs read; it is
         cropped to (H', W') once, through a strided view.
 
+        Each tap is one BLAS dgemm call with beta = 1 that adds the tap's
+        product into the accumulator in place: with alpha = 1, gemm stores
+        fl(acc + fl(W_tap @ slice)), the bytes of ``acc += W_tap @ slice``
+        without that expression's temporary. The weights are laid out once
+        per call as a contiguous (O, C) block per tap. Three cases run the
+        numpy expression per tap instead, with the old bytes:
+
+        - a matmul with a unit dimension (one output channel, one input
+          channel, or a one-column span), which numpy sends to gemv or a
+          plain loop, not to gemm;
+        - more than _GEMM_MAX_CHANNELS input channels, where gemm would add
+          the product onto the accumulator panel by panel;
+        - a numpy whose OpenBLAS exports no ILP64 dgemm (``_DGEMM`` None).
+
         The result is bitwise that of a per-tap matmul over copied compact
         windows: every output gets the same per-tap gemm products, added
         onto zero in the same tap order, then the bias, and gemm rounds a
@@ -149,22 +197,51 @@ class Conv3d:
         a one-depth-row slab would have one column, the whole depth goes in
         one slab. With one output channel every matmul has one row, and the
         result is a correct conv within gemv's ulps, not bitwise the old one.
+
+        The extent is checked against ``xp`` first, because a raw pointer,
+        unlike a slice, would read past the buffer instead of truncating.
         """
         kd, kh, kw = self.kernel
         do, ho, wo = extent
-        taps = [(i, j, k) for i in range(kd) for j in range(kh) for k in range(kw)]
+        c, dp, hp, wp = xp.shape
+        if (c != self.in_channels or do + kd - 1 > dp or ho + kh - 1 > hp
+                or wo + kw - 1 > wp):
+            raise ShapeError(
+                f"conv3d extent {tuple(extent)} with kernel {self.kernel} "
+                f"reads past the padded input {xp.shape}")
         out = np.empty((self.out_channels, do, ho, wo))
-        _, _, hp, wp = xp.shape
         plane = hp * wp
-        xf = xp.reshape(self.in_channels, -1)
+        xf = np.ascontiguousarray(xp, dtype=np.float64).reshape(c, -1)
+        taps = [(i, j, k) for i in range(kd) for j in range(kh) for k in range(kw)]
+        offsets = [(i * hp + j) * wp + k for i, j, k in taps]
         rows = do if ho * wo == 1 else max(1, _SLAB_COLUMNS // plane)
+        blas = (_DGEMM is not None and self.out_channels > 1
+                and 1 < c <= _GEMM_MAX_CHANNELS)
+        if blas:
+            # row t of w is tap t's weights as a contiguous (O, C) block
+            w = np.ascontiguousarray(self.weights.transpose(2, 3, 4, 0, 1),
+                                     dtype=np.float64).reshape(len(taps), -1)
+            w_p = w.ctypes.data
+            w_taps = [ctypes.c_void_p(w_p + t * w.strides[0])
+                      for t in range(len(taps))]
+            m, k_dim = ctypes.c_int64(self.out_channels), ctypes.c_int64(c)
+            x_p, ld_x = xf.ctypes.data, ctypes.c_int64(xf.shape[1])
         for d0 in range(0, do, rows):
             n = min(rows, do - d0)
             span = (n - 1) * plane + (ho - 1) * wp + wo
             acc = np.zeros((self.out_channels, span))
-            for i, j, k in taps:
-                start = ((d0 + i) * hp + j) * wp + k
-                acc += self.weights[:, :, i, j, k] @ xf[:, start:start + span]
+            if blas and span > 1:
+                cols = ctypes.c_int64(span)
+                acc_p = ctypes.c_void_p(acc.ctypes.data)
+                for w_tap, offset in zip(w_taps, offsets):
+                    x_tap = x_p + (d0 * plane + offset) * xf.itemsize
+                    _DGEMM(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k_dim,
+                           _ONE, w_tap, k_dim, ctypes.c_void_p(x_tap), ld_x,
+                           _ONE, acc_p, cols)
+            else:
+                for (i, j, k), offset in zip(taps, offsets):
+                    start = d0 * plane + offset
+                    acc += self.weights[:, :, i, j, k] @ xf[:, start:start + span]
             # output (d0 + e, h, w) sits at column e*plane + h*wp + w < span
             col = acc.strides[1]
             out[:, d0:d0 + n] = as_strided(

@@ -7,7 +7,9 @@ SEMW layout, all integers little-endian:
 
 Arrays are float64 in memory and float32 on disk; writers are expected to
 keep persistable values on the float32 grid so that save/load round-trips
-are exact.
+are exact. No NaN is written or read: a NaN weight would silently turn every
+output it reaches into NaN. Infinities round-trip (a model's meta record
+stores an infinite training SNR).
 
 SEMF layout: magic b"SEMF" | u32 version=1 | u32 frame count | u16 height |
 u16 width | frames as row-major 8-bit RGB.
@@ -32,7 +34,7 @@ class ContainerError(Exception):
 
 
 class ContainerFormatError(ContainerError):
-    """Bad magic bytes or malformed structural fields."""
+    """Bad magic bytes, malformed structural fields, or a NaN payload value."""
 
 
 class ContainerVersionError(ContainerError):
@@ -58,14 +60,21 @@ def _read_exact(fh, n, what):
 
 
 def write_arrays(path, arrays):
-    """Write an ordered mapping of name -> ndarray as a SEMW container."""
+    """Write an ordered mapping of name -> ndarray as a SEMW container.
+
+    Every array is checked before the file is opened, so a refused mapping
+    leaves no partial container behind.
+    """
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if arr.ndim < 1 or arr.ndim > _MAX_RANK:
+            raise ValueError(f"array {name!r} has unsupported rank {arr.ndim}")
+        if np.isnan(arr).any():
+            raise ValueError(f"array {name!r} holds NaN")
     with open(path, "wb") as fh:
         fh.write(SEMW_MAGIC)
         fh.write(struct.pack("<II", SEMW_VERSION, len(arrays)))
         for name, arr in arrays.items():
-            arr = np.asarray(arr)
-            if arr.ndim < 1 or arr.ndim > _MAX_RANK:
-                raise ValueError(f"array {name!r} has unsupported rank {arr.ndim}")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -97,6 +106,11 @@ def read_arrays(path):
             if any(d == 0 for d in dims):
                 raise ContainerFormatError(f"array {name!r} has zero dim {dims}")
             payload = _read_exact(fh, 4 * math.prod(dims), f"{name} payload")
+            # NaN (quiet or signalling) is all-ones exponent with a nonzero
+            # fraction; testing the bits raises no floating-point exception,
+            # which a signalling NaN would in the cast below
+            if np.any((np.frombuffer(payload, dtype="<u4") & 0x7FFFFFFF) > 0x7F800000):
+                raise ContainerFormatError(f"array {name!r} holds NaN")
             arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
             out[name] = arr.reshape(dims)
         trailing = fh.read(1)

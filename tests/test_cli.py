@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, diagnostics, and artifact emission."""
 import os
+import struct
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from semcom.cli import main
-from semcom.codec import ACTIVITY_NAMES, Activity
+from semcom.codec import ACTIVITY_NAMES, Activity, CodecModel, save_model
 from semcom.synthdata import ROOMS
 
 
@@ -152,6 +153,28 @@ class TestDataAndEval:
     def test_eval_missing_model(self, capsys):
         assert main(["eval", "--model", "nope.semw"]) == 1
         assert "file not found" in capsys.readouterr().err
+
+    def test_eval_rejects_nan_weight(self, tmp_path, capsys):
+        """A signalling NaN once loaded with numpy's two-line cast warning
+        and evaluated to a meaningless accuracy with exit 0."""
+        path = tmp_path / "codec.semw"
+        save_model(path, CodecModel(seed=1))
+        data = bytearray(path.read_bytes())
+        # first array's payload: after the 12-byte header, its u16 name
+        # length, name, u8 rank and u32 dims
+        (name_len,) = struct.unpack_from("<H", data, 12)
+        rank = data[14 + name_len]
+        start = 15 + name_len + 4 * rank
+        data[start:start + 4] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(data))
+        assert main(["eval", "--model", str(path), "--per-class", "1",
+                     "--seeds", "1", "--snr-test", "25",
+                     "--out", str(tmp_path / "eval.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "holds NaN" in captured.err
+        assert not (tmp_path / "eval.csv").exists()
 
 
 class TestDegenerateArguments:

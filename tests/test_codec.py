@@ -5,6 +5,8 @@ path."""
 import copy
 import dataclasses
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,37 @@ class TestEncode:
             want = encode(reference, segment)
             assert got.scale == want.scale
             assert got.symbols.tobytes() == want.symbols.tobytes()
+
+    def test_threads_sharing_a_model_encode_like_sequential_calls(self):
+        """Each conv tap's gemm runs with the interpreter lock released, so
+        two threads interleave the shared encoder's kernels."""
+        model = load_model(CHECKPOINT)
+        segments = make_codec_dataset(1, seed=7)[0][:2]
+        want = [encode(model, s) for s in segments]
+        got = [[], []]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(idx):
+            barrier.wait()
+            for _ in range(3):
+                got[idx].append(encode(model, segments[idx]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for frames, frame in zip(got, want):
+            assert len(frames) == 3
+            for f in frames:
+                assert f.scale == frame.scale
+                assert f.symbols.tobytes() == frame.symbols.tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

@@ -1,4 +1,5 @@
 """Tensor-kernel tests: brute-force and finite-difference oracles."""
+import contextlib
 import os
 from unittest import mock
 
@@ -332,27 +333,42 @@ def assert_matches_oracle(got, want, out_channels):
         assert got.tobytes() == want.tobytes()
 
 
+def forward_on_both_routes(layer, x):
+    """layer.forward(x) on the in-place dgemm route, then on the numpy
+    fallback that a numpy without that dgemm symbol runs."""
+    outs = []
+    for route in (contextlib.nullcontext(),
+                  mock.patch.object(tensor, "_DGEMM", None)):
+        with route:
+            outs.append(layer.forward(x))
+    return outs
+
+
 # column budgets: one-column slabs, slabs of one depth row and a remainder,
 # many depth rows per slab, and the shipped budget
 SLAB_BUDGETS = st.sampled_from([1, 2, 7, 30, 120, tensor._SLAB_COLUMNS])
 
 
 class TestCorrelateOracle:
+    """Each oracle holds on both routes of Conv3d._correlate."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SLAB_BUDGETS)
     def test_conv3d_forward_bitwise_equals_oracle(self, data, budget):
         conv, x = random_layer(data, fused=False)
+        want = oracle_conv(conv, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
-            got = conv.forward(x)
-        assert_matches_oracle(got, oracle_conv(conv, x), conv.out_channels)
+            for got in forward_on_both_routes(conv, x):
+                assert_matches_oracle(got, want, conv.out_channels)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SLAB_BUDGETS)
     def test_conv_relu_pool3d_forward_bitwise_equals_oracle(self, data, budget):
         fused, x = random_layer(data, fused=True)
+        want = oracle_fused(fused, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
-            got = fused.forward(x)
-        assert_matches_oracle(got, oracle_fused(fused, x), fused.out_channels)
+            for got in forward_on_both_routes(fused, x):
+                assert_matches_oracle(got, want, fused.out_channels)
 
     @pytest.mark.parametrize("c, f, kernel, pad, dims, budget", [
         # H' = W' = 1: a one-depth-row slab would be a one-column gemv
@@ -365,6 +381,10 @@ class TestCorrelateOracle:
         # an 18 x 130 x 130 padded grid: 16,900 columns per depth row exceed
         # the shipped budget, so each slab is one depth row
         (2, 2, (3, 3, 3), (1, 1, 1), (16, 128, 128), None),
+        # the deepest tap product one in-place dgemm sums, and one deeper
+        # than OpenBLAS's 384-deep panels, which must not take that route
+        (64, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
+        (400, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
     ])
     def test_edge_extents_bitwise_equal_oracle(self, c, f, kernel, pad, dims,
                                                budget):
@@ -372,10 +392,11 @@ class TestCorrelateOracle:
         conv = Conv3d(c, f, kernel, pad, rng)
         conv.bias[...] = rng.normal(0.0, 0.3, f)
         x = rng.standard_normal((c,) + dims)
+        want = oracle_conv(conv, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS",
                                budget or tensor._SLAB_COLUMNS):
-            got = conv.forward(x)
-        assert_matches_oracle(got, oracle_conv(conv, x), f)
+            for got in forward_on_both_routes(conv, x):
+                assert_matches_oracle(got, want, f)
 
     def test_codec_checkpoint_layers_bitwise_equal_oracle(self):
         """The checkpoint's encoder layer on three rendered segments, and
@@ -385,13 +406,36 @@ class TestCorrelateOracle:
         model = codec.load_model(checkpoint)
         segments, _ = make_codec_dataset(1, seed=2)
         for segment in segments[:3]:
-            got = model.enc_conv.forward(segment.frames)
-            assert got.tobytes() == oracle_fused(model.enc_conv, segment.frames).tobytes()
+            want = oracle_fused(model.enc_conv, segment.frames).tobytes()
+            for got in forward_on_both_routes(model.enc_conv, segment.frames):
+                assert got.tobytes() == want
             x = codec.encode(model, segment)
             for layer in model.decoder.layers:
                 if isinstance(layer, Conv3d):
-                    assert layer.forward(x).tobytes() == oracle_conv(layer, x).tobytes()
+                    want = oracle_conv(layer, x).tobytes()
+                    for got in forward_on_both_routes(layer, x):
+                        assert got.tobytes() == want
                 x = layer.forward(x)
+
+
+class TestCorrelateKernel:
+    def test_dgemm_resolved_from_numpys_openblas(self):
+        """Without it every conv silently runs the slower numpy route, and
+        the benchmark would measure that."""
+        assert tensor._DGEMM is not None
+
+    @pytest.mark.parametrize("extent", [(4, 3, 3), (3, 4, 3), (3, 3, 4)])
+    def test_extent_past_the_padded_input_raises(self, extent):
+        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        xp = conv._pad(np.ones((2, 3, 3, 3)))
+        assert conv._correlate(xp, (3, 3, 3)).shape == (3, 3, 3, 3)
+        with pytest.raises(ShapeError, match="reads past the padded input"):
+            conv._correlate(xp, extent)
+
+    def test_channel_mismatch_raises(self):
+        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="reads past the padded input"):
+            conv._correlate(np.ones((1, 5, 5, 5)), (3, 3, 3))
 
 
 class TestConvReLUPool3d:

@@ -78,8 +78,14 @@ class TestSemwRoundTrip:
 
     def test_infinity_survives(self, tmp_path):
         path = tmp_path / "inf.semw"
-        write_arrays(path, {"meta": np.array([np.inf, 0.0])})
-        assert read_arrays(path)["meta"][0] == np.inf
+        write_arrays(path, {"meta": np.array([np.inf, 0.0, -np.inf])})
+        assert read_arrays(path)["meta"].tolist() == [np.inf, 0.0, -np.inf]
+
+    def test_nan_refused_before_writing(self, tmp_path):
+        path = tmp_path / "nan.semw"
+        with pytest.raises(ValueError, match="'b' holds NaN"):
+            write_arrays(path, {"a": np.ones(2), "b": np.array([0.5, np.nan])})
+        assert not path.exists()
 
     def test_unsupported_rank_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rank"):
@@ -103,6 +109,19 @@ class TestSemwErrors:
         data[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerVersionError, match="version"):
+            read_arrays(path)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFFC00001],
+                             ids=["quiet", "signalling", "negative"])
+    def test_nan_payload_rejected(self, tmp_path, bits):
+        """Checked on the raw bits: casting a signalling NaN to float64
+        would raise numpy's invalid-value warning first."""
+        path = tmp_path / "w.semw"
+        write_arrays(path, {"w": np.array([0.5, 0.25])})
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<I", bits)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerFormatError, match="'w' holds NaN"):
             read_arrays(path)
 
     @pytest.mark.parametrize("keep", [2, 7, 10, 40])
