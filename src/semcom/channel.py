@@ -55,13 +55,6 @@ class SymbolFrame:
     def __len__(self):
         return self.symbols.size
 
-    @property
-    def avg_power(self):
-        """Mean of re^2 + im^2 over the frame."""
-        if self.symbols.size == 0:
-            return 0.0
-        return float(_mean_power(self.symbols))
-
 
 def _uniform_shape(n, rows=1):
     """Shape of the uniform block that gaussian_noise(n, rng, rows) draws."""

@@ -97,14 +97,6 @@ class Tree:
     def n_nodes(self):
         return self.threshold.size
 
-    def max_path_depth(self):
-        """Internal nodes on the deepest root-to-leaf path."""
-        def depth(node):
-            if self.left[node] == _NO_CHILD:
-                return 0
-            return 1 + max(depth(int(self.left[node])), depth(int(self.right[node])))
-        return depth(0)
-
 
 def _grow_tree(u, y, max_depth):
     thresholds, lefts, rights, hists = [], [], [], []

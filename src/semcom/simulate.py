@@ -13,13 +13,13 @@ blocks, one cosine feature and forest vote per window), so the
 per-second results are bitwise those of one-second steps. The predicted
 postures fill one int64 code array, the same kind as the ground truth
 that ``gen_accel_trace`` reads from the scenario's step timeline; the
-controller then walks the predictions second by second as plain ints.
-A validated postural transition dispatches upload commands; every
-commanded camera uploads the current segment from its stride-16 grid, and
-the ledger bills each upload as N_t (ACKs with overlapping segments
-upload a segment again, so N_t can exceed N_f). An upload whose 16 frames would run past the end of
-the scenario is skipped: it is counted in ``skipped_uploads`` and not
-billed.
+controller then reads that array in one call and returns its ACKs. Each
+ACK resolves its target cameras, and each target uploads
+``segments_per_ack`` segments of its stride-16 grid from the current one
+on; the ledger bills each upload as N_t (ACKs with overlapping segments
+upload a segment again, so N_t can exceed N_f). An upload whose 16 frames
+would run past the end of the scenario is skipped: it is counted in
+``skipped_uploads`` and not billed.
 
 An active-room upload (the room films its own activity in that segment)
 is rendered, encoded, sent through the video channel and decoded, and
@@ -153,17 +153,13 @@ def run_simulation(cfg, codec_model, forest):
     truthed_correct = 0
     skipped = 0
     event_lines = []
-    for sec, predicted in enumerate(posture_pred.tolist()):
-        event = controller.observe(predicted, sec)
-        if event is None:
-            continue
-        commands = dispatch(event, policy, ROOMS)
+    for event in controller.observe(posture_pred):
+        targets = dispatch(event, policy, ROOMS)
         event_lines.append(format_event(event))
-        for command in commands:
-            base_grid = (command.t * FPS) // SEGMENT_FRAMES
-            camera = cameras[command.camera]
-            for k in range(command.segments):
-                grid = base_grid + k
+        base_grid = (event.t * FPS) // SEGMENT_FRAMES
+        for room in targets:
+            camera = cameras[room]
+            for grid in range(base_grid, base_grid + policy.segments_per_ack):
                 if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
                     skipped += 1
                     continue
@@ -179,7 +175,7 @@ def run_simulation(cfg, codec_model, forest):
                 sent = video_channel.send(encode(codec_model, segment))
                 logits, _ = decode(codec_model, sent)
                 activity = classify(logits)
-                cell = table[ACTIVITY_NAMES[activity]][command.camera]
+                cell = table[ACTIVITY_NAMES[activity]][room]
                 cell["count"] += 1
                 if activity == truth:
                     cell["correct"] += 1

@@ -8,8 +8,9 @@ depth rows. Each tap's product goes into the accumulator in place, through
 one call of numpy's own OpenBLAS dgemm with beta = 1, reached with ctypes.
 A matmul with a unit dimension or a deep input (see ``_correlate``), and
 every tap on a numpy without that dgemm, runs ``acc += W_tap @ slice``
-instead. Its bytes are those of a per-tap matmul over copied windows,
-because each output gets the same gemm products in the same order.
+instead. Up to 8 input channels, its bytes are those of a per-tap matmul
+over copied windows, because each output gets the same gemm products in
+the same order.
 
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
 it convolves only the extent the pool reads (at the codec's shapes) and
@@ -188,15 +189,19 @@ class Conv3d:
           the product onto the accumulator panel by panel;
         - a numpy whose OpenBLAS exports no ILP64 dgemm (``_DGEMM`` None).
 
-        The result is bitwise that of a per-tap matmul over copied compact
-        windows: every output gets the same per-tap gemm products, added
-        onto zero in the same tap order, then the bias, and gemm rounds a
-        column the same whatever the column count or offset. A matmul with
-        one row or one column goes to gemv instead, whose rounding depends
-        on the column's place among the columns. So with H' = W' = 1, where
-        a one-depth-row slab would have one column, the whole depth goes in
-        one slab. With one output channel every matmul has one row, and the
-        result is a correct conv within gemv's ulps, not bitwise the old one.
+        Every output gets the per-tap gemm products, added onto zero in
+        the same tap order, then the bias, as a per-tap matmul over copied
+        compact windows does. The tests show the two bitwise equal with up
+        to 8 input channels (every codec conv has 3, 4 or 8) over slab
+        budgets from one column to the shipped one. Deeper inputs are not
+        covered: with 16 or more input channels on a shallow input (a
+        (2, 2, 2) kernel over a (c, 2, 3, 5) input) the two can differ in
+        the last bits. A matmul with one row or one column goes to gemv
+        instead, whose rounding depends on the column's place among the
+        columns. So with H' = W' = 1, where a one-depth-row slab would have
+        one column, the whole depth goes in one slab. With one output
+        channel every matmul has one row, and the result is a correct conv
+        within gemv's ulps, not bitwise the old one.
 
         The extent is checked against ``xp`` first, because a raw pointer,
         unlike a slice, would read past the buffer instead of truncating.

@@ -9,7 +9,8 @@ Arrays are float64 in memory and float32 on disk; writers are expected to
 keep persistable values on the float32 grid so that save/load round-trips
 are exact. No NaN is written or read: a NaN weight would silently turn every
 output it reaches into NaN. Infinities round-trip (a model's meta record
-stores an infinite training SNR).
+stores an infinite training SNR), but a finite value beyond float32's range
+is refused rather than written as infinity.
 
 SEMF layout: magic b"SEMF" | u32 version=1 | u32 frame count | u16 height |
 u16 width | frames as row-major 8-bit RGB.
@@ -62,25 +63,31 @@ def _read_exact(fh, n, what):
 def write_arrays(path, arrays):
     """Write an ordered mapping of name -> ndarray as a SEMW container.
 
-    Every array is checked before the file is opened, so a refused mapping
-    leaves no partial container behind.
+    Every array is checked and cast before the file is opened, so a refused
+    mapping leaves no partial container behind.
     """
-    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+    payloads = {}
     for name, arr in arrays.items():
+        arr = np.asarray(arr)
         if arr.ndim < 1 or arr.ndim > _MAX_RANK:
             raise ValueError(f"array {name!r} has unsupported rank {arr.ndim}")
         if np.isnan(arr).any():
             raise ValueError(f"array {name!r} holds NaN")
+        with np.errstate(over="ignore"):
+            payload = np.ascontiguousarray(arr, dtype="<f4")
+        if (np.isinf(payload) & ~np.isinf(arr)).any():
+            raise ValueError(f"array {name!r} overflows float32")
+        payloads[name] = payload
     with open(path, "wb") as fh:
         fh.write(SEMW_MAGIC)
-        fh.write(struct.pack("<II", SEMW_VERSION, len(arrays)))
-        for name, arr in arrays.items():
+        fh.write(struct.pack("<II", SEMW_VERSION, len(payloads)))
+        for name, payload in payloads.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack("<B", payload.ndim))
+            fh.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
+            fh.write(payload.tobytes())
 
 
 def read_arrays(path):

@@ -88,7 +88,7 @@ class TestRawCodec:
         a missing /2 in the quadrature split (x1.41) or noise referenced
         to another power falls outside it.
         """
-        from semcom.channel import Channel, SymbolFrame
+        from semcom.channel import Channel
         snr_db = 25.0
         rng = np.random.default_rng(42)
         xyz = rng.uniform(-1.5, 1.5, (50 * 40, 3))   # 40 seconds
@@ -99,10 +99,9 @@ class TestRawCodec:
         out = decode_raw(noisy)
         rms = float(np.sqrt(np.mean((out - xyz) ** 2)))
         g_per_amplitude = QUANT_STEP * QUANT_LEVELS / 2
-        channel_mse = np.mean([
-            g_per_amplitude**2 * SymbolFrame(f).avg_power
-            / (2.0 * 10.0 ** (snr_db / 10.0))
-            for f in frames])
+        frame_power = np.mean(frames.real**2 + frames.imag**2, axis=1)
+        channel_mse = np.mean(g_per_amplitude**2 * frame_power
+                              / (2.0 * 10.0 ** (snr_db / 10.0)))
         expected_rms = float(np.sqrt(channel_mse + QUANT_STEP**2 / 6.0))
         assert abs(rms - expected_rms) / expected_rms < 0.05
 

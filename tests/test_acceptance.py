@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from per_second_controller import fold_events
 from semcom.accel import Posture, gravity_feature
 from semcom.channel import Channel, measured_snr
 from semcom.cli import main as cli_main
@@ -19,7 +20,7 @@ from semcom.codec import (DEEP_FEATURE_SHAPE, SYMBOLS_PER_SEGMENT, CodecModel,
                           TrainConfig, VideoSegment, decode, encode,
                           load_model, save_model, train, evaluate)
 from semcom.config import SimConfig
-from semcom.controller import AckPolicy, fold_events, oracle_events
+from semcom.controller import AckPolicy, TransmissionController
 from semcom.forest import load_forest, save_forest, train_forest
 from semcom.overhead import (format_reduction_percent, reduction_vs_sc,
                              reference_report)
@@ -165,27 +166,28 @@ class TestCriterion5Channel:
 
 class TestCriterion6Controller:
     def test_exhaustive_and_random_equivalence(self):
+        """The shipped run scan against the per-second state machine."""
         policy = AckPolicy()
         t0 = time.perf_counter()
         count = 0
         for seq in itertools.product(list(Posture), repeat=8):
             fold = fold_events(seq, policy)
-            oracle = oracle_events(seq, policy)
+            scan = TransmissionController(policy).observe(seq)
             assert ([(e.t, e.from_posture, e.to_posture) for e in fold]
-                    == [(e.t, e.from_posture, e.to_posture) for e in oracle])
+                    == [(e.t, e.from_posture, e.to_posture) for e in scan])
             count += 1
         assert count == 65536
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             seq = [Posture(int(v)) for v in rng.integers(0, 4, 100)]
             fold = fold_events(seq, policy)
-            oracle = oracle_events(seq, policy)
+            scan = TransmissionController(policy).observe(seq)
             assert ([(e.t, e.from_posture, e.to_posture) for e in fold]
-                    == [(e.t, e.from_posture, e.to_posture) for e in oracle])
+                    == [(e.t, e.from_posture, e.to_posture) for e in scan])
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
-        report(f"CRITERION 6 PASS: fold == oracle on 65,536 exhaustive + "
-               f"10,000 random sequences in {elapsed:.1f}s")
+        report(f"CRITERION 6 PASS: scan == per-second fold on 65,536 "
+               f"exhaustive + 10,000 random sequences in {elapsed:.1f}s")
 
 
 class TestCriterion7Feature:

@@ -7,6 +7,10 @@ import sys
 import pytest
 
 from semcom import accel, controller, simulate
+from semcom.codec import CodecModel
+from semcom.config import SimConfig
+from semcom.forest import train_forest
+from semcom.synthdata import make_posture_dataset
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "bench")
@@ -35,8 +39,29 @@ def test_install_then_uninstall_restores_every_patch(spans):
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
     hooks = {(owner, attr) for owner, attr, _ in patched}
-    # the accel chain and the ACK fan-out, as the simulation looks them up
+    # the accel chain, the controller and the ACK fan-out, as the
+    # simulation looks them up
     assert {(simulate, "encode_raw"), (simulate, "decode_raw"),
             (simulate, "gravity_feature"), (accel.GravityFilter, "process"),
+            (controller.TransmissionController, "observe"),
             (simulate, "dispatch")} <= hooks
     assert simulate.dispatch is controller.dispatch
+
+
+def test_traced_simulation_observes_once(spans):
+    """The controller reads the whole posture array in one observe call,
+    and every ACK it returns is dispatched under its own span."""
+    u, y = make_posture_dataset(80, seed=1)
+    forest = train_forest(u, y, seed=2)
+    cfg = SimConfig(seed=3, scenario="sleeping:8,eating:8",
+                    video_snr_db=25.0, accel_snr_db=25.0)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        report = simulate.run_simulation(cfg, CodecModel(seed=5), forest)
+    finally:
+        tracer.uninstall()
+    names = [name for name, _, _, _ in tracer.spans]
+    assert report.n_events > 0
+    assert names.count("controller.observe") == 1
+    assert names.count("controller.dispatch") == report.n_events

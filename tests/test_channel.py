@@ -164,10 +164,6 @@ class TestGaussianNoise:
 
 
 class TestSymbolFrame:
-    def test_avg_power(self):
-        frame = SymbolFrame(np.array([3 + 4j, 0 + 0j]))
-        assert frame.avg_power == pytest.approx(12.5)
-
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             SymbolFrame(np.zeros((2, 2), dtype=np.complex128))

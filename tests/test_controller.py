@@ -1,5 +1,5 @@
-"""Transmission-controller tests: the fold/oracle equivalence and ACK
-dispatch accounting."""
+"""Transmission-controller tests: the run scan against the per-second
+state machine it replaced, and ACK dispatch accounting."""
 import itertools
 
 import numpy as np
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_second_controller import INITIAL_STATE, fold_events, step
 from semcom.accel import Posture
-from semcom.controller import (INITIAL_STATE, AckPolicy, ControlEvent,
-                               TransmissionController, dispatch, fold_events,
-                               format_event, oracle_events, step)
+from semcom.controller import (AckPolicy, ControlEvent,
+                               TransmissionController, dispatch, format_event)
 
 SIT = Posture.SITTING
 STAND = Posture.STANDING
@@ -24,30 +24,41 @@ def events_key(events):
     return [(e.t, e.from_posture, e.to_posture) for e in events]
 
 
+def scan(postures, policy):
+    return TransmissionController(policy).observe(postures)
+
+
+def agreed_events(postures, policy):
+    """The scan's events, checked against the per-second state machine."""
+    events = events_key(scan(postures, policy))
+    assert events == events_key(fold_events(postures, policy))
+    return events
+
+
 class TestStep:
     def test_validated_transition_fires_on_fifth_window(self):
-        events = fold_events([SIT, SIT, STAND, STAND, STAND], AckPolicy())
-        assert events_key(events) == [(4, SIT, STAND)]
+        events = agreed_events([SIT, SIT, STAND, STAND, STAND], AckPolicy())
+        assert events == [(4, SIT, STAND)]
 
     def test_constant_posture_never_fires(self):
-        assert fold_events([SIT] * 50, AckPolicy()) == []
+        assert agreed_events([SIT] * 50, AckPolicy()) == []
 
     def test_alternating_never_fires(self):
         seq = [SIT, STAND] * 25
-        assert fold_events(seq, AckPolicy()) == []
+        assert agreed_events(seq, AckPolicy()) == []
 
     def test_blip_reverts_without_event(self):
-        events = fold_events([SIT, STAND, SIT, SIT, SIT], AckPolicy())
+        events = agreed_events([SIT, STAND, SIT, SIT, SIT], AckPolicy())
         assert events == []
 
     def test_pending_switch_to_third_posture(self):
         seq = [SIT, STAND, WALK, WALK, WALK]
-        events = fold_events(seq, AckPolicy())
-        assert events_key(events) == [(4, SIT, WALK)]
+        events = agreed_events(seq, AckPolicy())
+        assert events == [(4, SIT, WALK)]
 
     def test_validation_window_one_fires_immediately(self):
-        events = fold_events([SIT, STAND], AckPolicy(validation_windows=1))
-        assert events_key(events) == [(1, SIT, STAND)]
+        events = agreed_events([SIT, STAND], AckPolicy(validation_windows=1))
+        assert events == [(1, SIT, STAND)]
 
     def test_non_consecutive_index_rejected(self):
         state, _ = step(INITIAL_STATE, SIT, 0, AckPolicy())
@@ -58,74 +69,72 @@ class TestStep:
         state, event = step(INITIAL_STATE, STAND, 0, AckPolicy())
         assert event is None
         assert state.stable == STAND
+        assert scan([STAND], AckPolicy()) == []
 
 
 class TestOracleAgreement:
     @given(postures_seq)
     @settings(max_examples=300, deadline=None)
     def test_fold_matches_oracle(self, seq):
-        policy = AckPolicy()
-        assert events_key(fold_events(seq, policy)) == events_key(
-            oracle_events(seq, policy))
+        agreed_events(seq, AckPolicy())
 
     @given(postures_seq, st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_fold_matches_oracle_any_validation(self, seq, vw):
-        policy = AckPolicy(validation_windows=vw)
-        assert events_key(fold_events(seq, policy)) == events_key(
-            oracle_events(seq, policy))
+        agreed_events(seq, AckPolicy(validation_windows=vw))
 
     def test_exhaustive_length_six(self):
         policy = AckPolicy()
         for seq in itertools.product(list(Posture), repeat=6):
-            assert events_key(fold_events(seq, policy)) == events_key(
-                oracle_events(seq, policy))
+            agreed_events(seq, policy)
 
     def test_empty_sequence(self):
-        assert oracle_events([], AckPolicy()) == []
+        assert agreed_events([], AckPolicy()) == []
+        assert scan(np.empty(0, dtype=np.int64), AckPolicy()) == []
 
     def test_single_change_then_hold(self):
         seq = [LIE, LIE, WALK, WALK, WALK, WALK, WALK]
-        events = oracle_events(seq, AckPolicy())
-        assert events_key(events) == [(4, LIE, WALK)]
+        assert agreed_events(seq, AckPolicy()) == [(4, LIE, WALK)]
 
     @given(postures_seq)
     @settings(max_examples=200, deadline=None)
     def test_event_count_bounded_by_changes(self, seq):
         changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-        assert len(fold_events(seq, AckPolicy())) <= changes
+        assert len(scan(seq, AckPolicy())) <= changes
 
-    @given(postures_seq)
+    @given(postures_seq, st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
-    def test_liveness_every_long_run_fires(self, seq):
-        policy = AckPolicy()
-        events = fold_events(seq, policy)
-        # reconstruct runs and check each validated new-posture run fired
-        oracle = oracle_events(seq, policy)
-        assert len(events) == len(oracle)
+    def test_liveness_every_long_run_fires(self, seq, vw):
+        # a sequence that ends in a run of at least vw windows ends with
+        # that run's posture validated
+        events = scan(seq, AckPolicy(validation_windows=vw))
+        if len(seq) >= vw and len(set(seq[-vw:])) == 1:
+            stable = events[-1].to_posture if events else seq[0]
+            assert stable == seq[-1]
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
-        seq = [Posture(int(v)) for v in rng.integers(0, 4, 200)]
-        a = fold_events(seq, AckPolicy())
-        b = fold_events(seq, AckPolicy())
-        assert events_key(a) == events_key(b)
+        seq = rng.integers(0, 4, 200)
+        assert events_key(scan(seq, AckPolicy())) == events_key(
+            scan(seq, AckPolicy()))
+        assert events_key(scan(seq, AckPolicy())) == events_key(
+            scan([Posture(int(v)) for v in seq], AckPolicy()))
 
 
 class TestDispatch:
     def test_broadcast_fans_out(self):
         event = ControlEvent(5, SIT, STAND)
-        commands = dispatch(event, AckPolicy(), ("bedroom", "living_room", "kitchen"))
-        assert len(commands) == 3
-        assert [c.camera for c in commands] == ["bedroom", "living_room", "kitchen"]
-        assert event.targets == ("bedroom", "living_room", "kitchen")
-        assert all(c.segments == 1 and c.t == 5 for c in commands)
+        targets = dispatch(event, AckPolicy(),
+                           ("bedroom", "living_room", "kitchen"))
+        assert targets == ("bedroom", "living_room", "kitchen")
+        assert event.targets == targets
 
     def test_subset_single_camera(self):
         event = ControlEvent(2, SIT, STAND)
-        commands = dispatch(event, AckPolicy(targets=("kitchen",)),
-                            ("bedroom", "living_room", "kitchen"))
-        assert [c.camera for c in commands] == ["kitchen"]
+        targets = dispatch(event, AckPolicy(targets=("kitchen",)),
+                           ("bedroom", "living_room", "kitchen"))
+        assert targets == ("kitchen",)
+        assert event.targets == targets
 
     def test_unknown_camera_rejected(self):
         event = ControlEvent(2, SIT, STAND)
@@ -134,18 +143,20 @@ class TestDispatch:
                      ("bedroom", "kitchen"))
 
     def test_twelve_transitions_broadcast_gives_36(self):
-        commands = [c for i in range(12)
-                    for c in dispatch(ControlEvent(i, SIT, STAND), AckPolicy(),
-                                      ("bedroom", "living_room", "kitchen"))]
-        assert len(commands) == 36
-        assert sum(c.segments for c in commands) == 36
+        policy = AckPolicy()
+        commanded = sum(
+            len(dispatch(ControlEvent(i, SIT, STAND), policy,
+                         ("bedroom", "living_room", "kitchen")))
+            * policy.segments_per_ack for i in range(12))
+        assert commanded == 36
 
     def test_segments_per_ack(self):
-        commands = dispatch(ControlEvent(0, SIT, STAND),
-                            AckPolicy(segments_per_ack=2), ("a", "b"))
-        assert len(commands) == 2
-        assert sum(c.segments for c in commands) == 4
-        assert all(c.segments == 2 for c in commands)
+        # the policy's segment count leaves the targets alone: each target
+        # uploads segments_per_ack segments
+        policy = AckPolicy(segments_per_ack=2)
+        targets = dispatch(ControlEvent(0, SIT, STAND), policy, ("a", "b"))
+        assert targets == ("a", "b")
+        assert len(targets) * policy.segments_per_ack == 4
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +173,12 @@ class TestEventLog:
 
     def test_controller_wrapper_collects_events(self):
         controller = TransmissionController(AckPolicy())
-        seq = [SIT, SIT, STAND, STAND, STAND, STAND]
-        for i, p in enumerate(seq):
-            controller.observe(p, i)
-        assert events_key(controller.events) == [(4, SIT, STAND)]
+        seq = np.array([SIT, SIT, STAND, STAND, STAND, STAND, LIE, LIE, LIE],
+                       dtype=np.int64)
+        events = controller.observe(seq)
+        assert events_key(controller.events) == [(4, SIT, STAND),
+                                                 (8, STAND, LIE)]
+        assert controller.events == events
+        # plain ints, as the event log and the report expect
+        assert all(type(v) is int for e in events
+                   for v in (e.t, e.from_posture, e.to_posture))

@@ -74,6 +74,14 @@ def loop_best_gini_split(u, y):
     return best
 
 
+def max_path_depth(tree, node=0):
+    """Internal nodes on the deepest root-to-leaf path below node."""
+    if tree.left[node] == _NO_CHILD:
+        return 0
+    return 1 + max(max_path_depth(tree, int(tree.left[node])),
+                   max_path_depth(tree, int(tree.right[node])))
+
+
 def clusters(means, sigma, n_per, seed):
     rng = np.random.default_rng(seed)
     u, y = [], []
@@ -215,7 +223,7 @@ class TestTraining:
         y = rng.integers(0, 4, 200).astype(np.int64)
         forest = train_forest(u, y, n_trees=3, max_depth=4, seed=1)
         for tree in forest.trees:
-            assert tree.max_path_depth() <= 4
+            assert max_path_depth(tree) <= 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from per_second_controller import INITIAL_STATE, step
 from semcom import overhead, simulate
 from semcom.accel import (SYMBOLS_PER_FRAME, VALUES_PER_FRAME, GravityFilter,
                           amplitudes_to_codes, codes_to_amplitudes,
@@ -22,8 +23,7 @@ from semcom.cli import main as cli_main
 from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, Activity, CodecModel,
                           classify, decode, encode)
 from semcom.config import SimConfig, load_config, parse_config_text
-from semcom.controller import (AckPolicy, TransmissionController, dispatch,
-                               format_event)
+from semcom.controller import AckPolicy, dispatch, format_event
 from semcom.forest import train_forest
 from semcom.simulate import (SimReport, _derived_seed, _settled_mask,
                              posture_stream, run_simulation)
@@ -84,8 +84,10 @@ def per_frame_decode_raw(frames):
 
 
 def per_second_simulation(cfg, codec_model, forest):
-    """run_simulation as it was before the accel uplink ran in blocks, kept
-    as the oracle; it also returns the per-second u and postures. It bills
+    """run_simulation as it was before the accel uplink ran in blocks and
+    the controller scanned runs, kept as the oracle: each second's posture
+    steps the per-second state machine. It also returns the per-second u
+    and postures. It bills
     each commanded segment to N_t when the ACK fans out and takes back
     the ones it skips."""
     scenario = cfg.parse_scenario()
@@ -98,7 +100,7 @@ def per_second_simulation(cfg, codec_model, forest):
     accel_channel = Channel(cfg.accel_snr_db, _derived_seed(cfg.seed, 1))
     video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
     gravity = GravityFilter()
-    controller = TransmissionController(policy)
+    state = INITIAL_STATE
     ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
 
     posture_pred = []
@@ -114,16 +116,16 @@ def per_second_simulation(cfg, codec_model, forest):
         us.append(u)
         predicted = int(forest.predict(np.array([u]))[0])
         posture_pred.append(predicted)
-        event = controller.observe(predicted, sec)
+        state, event = step(state, predicted, sec, policy)
         if event is None:
             continue
-        commands = dispatch(event, policy, ROOMS)
+        targets = dispatch(event, policy, ROOMS)
         event_lines.append(format_event(event))
-        for command in commands:
-            base_grid = (command.t * FPS) // SEGMENT_FRAMES
-            camera = cameras[command.camera]
-            ledger.n_t += command.segments
-            for k in range(command.segments):
+        for room in targets:
+            base_grid = (event.t * FPS) // SEGMENT_FRAMES
+            camera = cameras[room]
+            ledger.n_t += policy.segments_per_ack
+            for k in range(policy.segments_per_ack):
                 grid = base_grid + k
                 if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
                     skipped += 1
@@ -134,7 +136,7 @@ def per_second_simulation(cfg, codec_model, forest):
                 logits, _ = decode(codec_model, sent)
                 label = camera.segment_label(grid)
                 uploads.append(UploadRecord(
-                    t=command.t, room=command.camera, grid_index=grid,
+                    t=event.t, room=room, grid_index=grid,
                     predicted=classify(logits),
                     truth_activity=None if label is None else label[0],
                     truth_room=None if label is None else label[1]))
@@ -177,7 +179,7 @@ def per_second_simulation(cfg, codec_model, forest):
         posture=posture_stats,
         activity_table=table,
         activity_accuracy=(truthed_correct / truthed) if truthed else None,
-        n_events=len(controller.events),
+        n_events=len(event_lines),
         uploads=len(uploads),
         background_uploads=background,
         clamped_samples=clamped,

@@ -305,8 +305,9 @@ def oracle_fused(fused, x):
 
 def random_layer(data, fused):
     """A Conv3d or ConvReLUPool3d with random shapes, weights and bias, and
-    an input for it; extents may be 1 on any axis."""
-    c = data.draw(st.integers(1, 3))
+    an input for it; extents may be 1 on any axis. Up to 8 input channels,
+    the most any codec conv has."""
+    c = data.draw(st.integers(1, 8))
     f = data.draw(st.integers(1, 4))
     kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
     pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))

@@ -87,6 +87,20 @@ class TestSemwRoundTrip:
             write_arrays(path, {"a": np.ones(2), "b": np.array([0.5, np.nan])})
         assert not path.exists()
 
+    @pytest.mark.parametrize("big", [1e300, -1e300, 3.5e38])
+    def test_float32_overflow_refused_before_writing(self, tmp_path, big):
+        path = tmp_path / "big.semw"
+        with pytest.raises(ValueError, match="array 'x' overflows float32"):
+            write_arrays(path, {"a": np.ones(2),
+                                "x": np.array([np.inf, 0.5, big])})
+        assert not path.exists()
+
+    def test_float32_max_still_written(self, tmp_path):
+        path = tmp_path / "max.semw"
+        top = float(np.finfo(np.float32).max)
+        write_arrays(path, {"x": np.array([top, -top, np.inf, -np.inf])})
+        assert read_arrays(path)["x"].tolist() == [top, -top, np.inf, -np.inf]
+
     def test_unsupported_rank_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rank"):
             write_arrays(tmp_path / "bad.semw", {"x": np.zeros((1,) * 6)})
