@@ -14,8 +14,8 @@ import numpy as np
 
 from . import codec, config, forest, overhead, simulate, synthdata, weights_io
 from .accel import POSTURE_NAMES, write_trace_csv
-from .tensor import (Conv3d, Linear, MaxPool3d, Network, ReLU, Reshape,
-                     grad_check)
+from .tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network, ReLU,
+                     Reshape, grad_check)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -73,14 +73,16 @@ def _cmd_train_forest(args):
 
 def _cmd_gradcheck(args):
     rng = np.random.default_rng(args.seed)
+    # the codec's own layer types: a fused input layer, then a decoder stage
     net = Network([
-        Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng),
+        ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 2, 2), rng),
+        Conv3d(3, 2, (3, 3, 3), (1, 1, 1), rng),
         ReLU(),
-        MaxPool3d((2, 2, 2), (2, 2, 2)),
+        MaxPool3d((2, 2, 2)),
         Reshape((-1,)),
-        Linear(2 * 2 * 3 * 3, 3, rng),
+        Linear(8, 3, rng),
     ])
-    x = rng.uniform(0.0, 1.0, (2, 4, 6, 6))
+    x = rng.uniform(0.0, 1.0, (2, 4, 8, 8))
     one_hot = np.zeros(3)
     one_hot[int(rng.integers(0, 3))] = 1.0
     err = grad_check(net, x, one_hot, epsilon=args.epsilon)
@@ -195,10 +197,12 @@ def build_parser():
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("overhead", help="overhead table (Table-1 style)")
-    p.add_argument("--paper", action="store_true",
-                   help="use the reference-scenario constants")
+    ledger = p.add_mutually_exclusive_group(required=True)
+    ledger.add_argument("--paper", action="store_true",
+                        help="use the reference-scenario constants")
+    ledger.add_argument("--n-f", type=int,
+                        help="feature frames of a custom ledger")
     p.add_argument("--L", type=int, default=overhead.REFERENCE_L)
-    p.add_argument("--n-f", type=int, default=0)
     p.add_argument("--n-t", type=int, default=0)
     p.add_argument("--n-b", type=int, default=0)
     p.add_argument("--json", default="")

@@ -1,26 +1,28 @@
 """Joint semantic/channel video codec and activity classifier.
 
 Encoder (camera side): conv3d(3->4, k3, pad 1) -> ReLU -> maxpool (3,5,5)
-stride (3,5,5), run as one fused layer (:class:`tensor.ConvReLUPool3d`)
-that convolves only the 15x110x110 extent the pool reads and
-back-propagates only through the pool winners. It produces a 4x5x22x22
-feature that is reshaped row-major into 4,840 complex symbols (even
-elements real, odd elements imaginary) and power-normalized to unit
-average symbol power.
+whose windows tile the conv output, run as one fused layer
+(:class:`tensor.ConvReLUPool3d`) that convolves only the 15x110x110 extent
+the pool reads and back-propagates only through the pool winners. It
+produces a 4x5x22x22 feature that is reshaped row-major into 4,840 complex
+symbols (even elements real, odd elements imaginary) and power-normalized
+to unit average symbol power.
 
 Decoder (server side): de-normalize -> reshape -> three conv3d(k3, pad 1)
-+ ReLU stages with two (2,2,2)/(2,2,2) max-pools between them -> deep
++ ReLU stages with two tiling (2,2,2) max-pools between them -> deep
 feature 8x1x5x5 -> linear 200->5 logits.
 
 Both halves are one layer graph (:meth:`CodecModel.graph`), power
 normalization and de-normalization included: forward runs it in order and
-backward, from the same graph, in reverse. Training runs end to end
-through the AWGN channel with fresh noise per sample per step, drawn by
-:func:`channel.add_noise` as in evaluation and the simulated links (noise
-referenced to the frame's measured power); the noise addition
-backpropagates as identity while the power normalization is
-differentiated exactly. Parameters are kept on the float32 grid after
-every update so checkpoints round-trip bitwise.
+backward, from the same graph, in reverse, each layer taking ``(upstream,
+tape)``. Training runs end to end through the AWGN channel with fresh
+noise per sample per step, drawn by :func:`channel.add_noise` as in
+evaluation and the simulated links (noise referenced to the frame's
+measured power); the noise addition backpropagates as identity while the
+power normalization is differentiated exactly. Parameters are kept on the
+float32 grid after every update so checkpoints round-trip bitwise; a
+checkpoint names the graph's parameters by ``_ARRAY_NAMES``, in
+``CodecModel.params()`` order.
 
 Evaluation encodes each clean segment once per set of encoder weights: a
 ``VideoSegment`` is immutable (its ``frames`` array is read-only), so
@@ -154,10 +156,9 @@ class PowerNorm:
             tape.put(self, (s, sigma))
         return SymbolFrame(floats_to_symbols(s), scale=sigma)
 
-    def backward(self, upstream, tape, need_input_grad=True):
+    def backward(self, upstream, tape):
         grad_received, grad_sigma, sigma = upstream
         s, sigma_enc = tape.take(self)
-        tape.set_grads(self, [])
         if sigma != sigma_enc:
             raise RuntimeError("encode/decode tapes out of sync")
         # channel noise backpropagates as identity: grad_s = grad_received
@@ -182,9 +183,8 @@ class PowerDenorm:
             tape.put(self, (received, frame.scale))
         return received * frame.scale
 
-    def backward(self, upstream, tape, need_input_grad=True):
+    def backward(self, upstream, tape):
         received, sigma = tape.take(self)
-        tape.set_grads(self, [])
         # k_hat = received * sigma: gradient splits between symbols and sigma
         return upstream * sigma, float(np.dot(upstream, received)), sigma
 
@@ -202,14 +202,14 @@ class CodecModel:
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
         self.seed = seed
-        self.enc_conv = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1),
-                                       (3, 5, 5), (3, 5, 5), rng)
+        self.enc_conv = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
+                                       rng)
         self.dec_conv1 = Conv3d(4, 8, (3, 3, 3), (1, 1, 1), rng)
         self.dec_relu1 = ReLU()
-        self.dec_pool1 = MaxPool3d((2, 2, 2), (2, 2, 2))
+        self.dec_pool1 = MaxPool3d((2, 2, 2))
         self.dec_conv2 = Conv3d(8, 8, (3, 3, 3), (1, 1, 1), rng)
         self.dec_relu2 = ReLU()
-        self.dec_pool2 = MaxPool3d((2, 2, 2), (2, 2, 2))
+        self.dec_pool2 = MaxPool3d((2, 2, 2))
         self.dec_conv3 = Conv3d(8, 8, (3, 3, 3), (1, 1, 1), rng)
         self.dec_relu3 = ReLU()
         self.linear = Linear(int(np.prod(DEEP_FEATURE_SHAPE)), N_ACTIVITIES, rng)
@@ -408,22 +408,16 @@ def evaluate(model, segments, labels, snr_db, noise_seed=0):
     return correct / len(segments)
 
 
-_ARRAY_SPECS = (
-    ("enc.conv.weights", lambda m: m.enc_conv.weights),
-    ("enc.conv.bias", lambda m: m.enc_conv.bias),
-    ("dec.conv1.weights", lambda m: m.dec_conv1.weights),
-    ("dec.conv1.bias", lambda m: m.dec_conv1.bias),
-    ("dec.conv2.weights", lambda m: m.dec_conv2.weights),
-    ("dec.conv2.bias", lambda m: m.dec_conv2.bias),
-    ("dec.conv3.weights", lambda m: m.dec_conv3.weights),
-    ("dec.conv3.bias", lambda m: m.dec_conv3.bias),
-    ("dec.linear.weights", lambda m: m.linear.weights),
-    ("dec.linear.bias", lambda m: m.linear.bias),
-)
+# checkpoint names of CodecModel.params(), in that order
+_ARRAY_NAMES = ("enc.conv.weights", "enc.conv.bias",
+                "dec.conv1.weights", "dec.conv1.bias",
+                "dec.conv2.weights", "dec.conv2.bias",
+                "dec.conv3.weights", "dec.conv3.bias",
+                "dec.linear.weights", "dec.linear.bias")
 
 
 def save_model(path, model):
-    arrays = {name: get(model) for name, get in _ARRAY_SPECS}
+    arrays = dict(zip(_ARRAY_NAMES, model.params(), strict=True))
     arrays["meta"] = np.array([float(model.epochs_trained), model.snr_train_db])
     weights_io.write_arrays(path, arrays)
 
@@ -431,10 +425,9 @@ def save_model(path, model):
 def load_model(path):
     arrays = weights_io.read_arrays(path)
     model = CodecModel(seed=0)
-    for name, get in _ARRAY_SPECS:
+    for name, target in zip(_ARRAY_NAMES, model.params(), strict=True):
         if name not in arrays:
             raise weights_io.ContainerFormatError(f"missing array {name!r}")
-        target = get(model)
         if arrays[name].shape != target.shape:
             raise weights_io.ContainerFormatError(
                 f"array {name!r} has shape {arrays[name].shape}, "

@@ -13,16 +13,19 @@ over copied windows, because each output gets the same gemm products in
 the same order.
 
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
-it convolves only the extent the pool reads (at the codec's shapes) and
-forms the weight gradient from the pool winners' input patches alone, with
-outputs bitwise equal to the three separate layers.
+it convolves only the extent the pool reads and forms the weight gradient
+from the pool winners' input patches alone, with outputs bitwise equal to
+the three separate layers.
 
 All arrays are C-contiguous float64 ndarrays. Layers hold parameters only;
 per-call activations live on an explicit :class:`Tape`, so inference with
 ``tape=None`` is a pure function and a shared model is safe to use from
 several threads: the dgemm calls release the interpreter lock, and each
-call writes only its own accumulator. Convolution stride is fixed at 1;
-pooling uses floor-mode window arithmetic (trailing remainder dropped).
+call writes only its own accumulator. Convolution stride is fixed at 1.
+Pooling windows tile the input: the stride equals the kernel, and a
+trailing remainder shorter than the kernel is dropped. Every ``backward``
+takes ``(upstream, tape)``, records the layer's parameter gradients on the
+tape and returns the input gradient (None from the fused input layer).
 """
 from __future__ import annotations
 
@@ -119,9 +122,9 @@ def conv3d_output_shape(in_shape, kernel, padding):
     return tuple(in_shape[i] + 2 * padding[i] - kernel[i] + 1 for i in range(3))
 
 
-def pool3d_output_shape(in_shape, kernel, stride):
-    """Floor-mode pooling extents: floor((in - kernel)/stride) + 1."""
-    return tuple((in_shape[i] - kernel[i]) // stride[i] + 1 for i in range(3))
+def pool3d_output_shape(in_shape, kernel):
+    """Extents of pooling windows that tile the input: floor(in / kernel)."""
+    return tuple(in_shape[i] // kernel[i] for i in range(3))
 
 
 class Conv3d:
@@ -264,7 +267,7 @@ class Conv3d:
             tape.put(self, (xp, x.shape))
         return out
 
-    def backward(self, upstream, tape, need_input_grad=True):
+    def backward(self, upstream, tape):
         xp, x_shape = tape.take(self)
         do, ho, wo = conv3d_output_shape(x_shape[1:], self.kernel, self.padding)
         if upstream.shape != (self.out_channels, do, ho, wo):
@@ -276,57 +279,54 @@ class Conv3d:
         uf = upstream.reshape(self.out_channels, -1)
         grad_w = np.empty_like(self.weights)
         grad_b = upstream.sum(axis=(1, 2, 3))
-        grad_xp = np.zeros_like(xp) if need_input_grad else None
+        grad_xp = np.zeros_like(xp)
         for i in range(kd):
             for j in range(kh):
                 for k in range(kw):
                     window = xp[:, i:i + do, j:j + ho, k:k + wo].reshape(self.in_channels, -1)
                     grad_w[:, :, i, j, k] = uf @ window.T
-                    if need_input_grad:
-                        grad_xp[:, i:i + do, j:j + ho, k:k + wo] += (
-                            self.weights[:, :, i, j, k].T @ uf
-                        ).reshape(self.in_channels, do, ho, wo)
+                    grad_xp[:, i:i + do, j:j + ho, k:k + wo] += (
+                        self.weights[:, :, i, j, k].T @ uf
+                    ).reshape(self.in_channels, do, ho, wo)
         tape.set_grads(self, [grad_w, grad_b])
-        if not need_input_grad:
-            return None
         d, h, w = x_shape[1:]
         return grad_xp[:, pd:pd + d, ph:ph + h, pw:pw + w]
 
 
-def _pool_max(x, kernel, stride):
-    """(flat windows, argmax, max) of floor-mode pooling over (C,D,H,W).
+def _pool_max(x, kernel):
+    """(flat windows, argmax, max) of tiling pooling windows over (C,D,H,W).
 
     Windows are flattened row-major over (kd,kh,kw), so argmax ties go to
     the lowest flat input index inside the window.
     """
-    sd, sh, sw = stride
-    view = sliding_window_view(x, kernel, axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
+    kd, kh, kw = kernel
+    view = sliding_window_view(x, kernel, axis=(1, 2, 3))[:, ::kd, ::kh, ::kw]
     flat_windows = view.reshape(view.shape[:4] + (-1,))
     argmax = flat_windows.argmax(axis=-1)
     out = np.take_along_axis(flat_windows, argmax[..., None], axis=-1)[..., 0]
     return flat_windows, argmax, out
 
 
-def _argmax_coords(argmax, kernel, stride):
+def _argmax_coords(argmax, kernel):
     """(c, d, h, w) input index arrays of each pooling window's argmax."""
     kd, kh, kw = kernel
-    sd, sh, sw = stride
     ci, di, hi, wi = np.indices(argmax.shape)
-    return (ci, di * sd + argmax // (kh * kw), hi * sh + (argmax // kw) % kh,
-            wi * sw + argmax % kw)
+    return (ci, di * kd + argmax // (kh * kw), hi * kh + (argmax // kw) % kh,
+            wi * kw + argmax % kw)
 
 
 class MaxPool3d:
-    """Floor-mode 3D max pooling; argmax indices are kept for backward.
-
-    Ties go to the lowest flat input index inside the window.
+    """3D max pooling over windows that tile the input (stride = kernel; a
+    trailing remainder shorter than the kernel is dropped). The argmax
+    indices are kept for backward; ties go to the lowest flat input index
+    inside the window. Windows do not overlap, so backward writes each
+    window's gradient to its argmax.
     """
 
-    def __init__(self, kernel, stride):
+    def __init__(self, kernel):
         self.kernel = tuple(kernel)
-        self.stride = tuple(stride)
-        if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
-            raise ValueError("pool kernel and stride entries must be >= 1")
+        if any(k < 1 for k in self.kernel):
+            raise ValueError(f"pool kernel entries must be >= 1, got {self.kernel}")
 
     def params(self):
         return []
@@ -339,22 +339,19 @@ class MaxPool3d:
                 raise ShapeError(
                     f"maxpool3d axis '{AXIS_NAMES[1 + i]}': extent {x.shape[1 + i]} "
                     f"< kernel {self.kernel[i]}")
-        _, argmax, out = _pool_max(x, self.kernel, self.stride)
-        out_shape = argmax.shape
+        _, argmax, out = _pool_max(x, self.kernel)
         if tape is not None:
-            tape.put(self, (argmax, out_shape, x.shape))
+            tape.put(self, (argmax, x.shape))
         return np.ascontiguousarray(out)
 
-    def backward(self, upstream, tape, need_input_grad=True):
-        argmax, out_shape, x_shape = tape.take(self)
-        if upstream.shape != out_shape:
+    def backward(self, upstream, tape):
+        argmax, x_shape = tape.take(self)
+        if upstream.shape != argmax.shape:
             raise ShapeError(
-                f"maxpool3d upstream shape {upstream.shape} != output shape {out_shape}")
-        tape.set_grads(self, [])
-        if not need_input_grad:
-            return None
+                f"maxpool3d upstream shape {upstream.shape} != output shape "
+                f"{argmax.shape}")
         grad = np.zeros(x_shape)
-        np.add.at(grad, _argmax_coords(argmax, self.kernel, self.stride), upstream)
+        grad[_argmax_coords(argmax, self.kernel)] = upstream
         return grad
 
 
@@ -363,25 +360,28 @@ class ConvReLUPool3d(Conv3d):
 
     Parameters, initialization and input checks are those of
     :class:`Conv3d`, and the output is bitwise that of the three layers in
-    a row. The convolution runs only over the extent the pool reads (floor
-    mode drops the trailing remainder) when the layer has two or more
-    output channels and the pool reads two or more positions; otherwise it
-    runs over Conv3d's full extent, because a matmul with a unit dimension
-    rounds differently. The pool takes its window maximum before the ReLU
-    (relu(max) == max(relu)), with the same tie rule as
-    :class:`MaxPool3d`. Backward routes each live window's gradient to the
-    input patch under its argmax, so the weight gradient costs one patch
-    per pooled output instead of a pass over every conv output. There is
-    no input gradient: the layer must come first in a network.
+    a row. The pool's windows tile the conv output, so the convolution runs
+    only over the extent they read: pooled * pool_kernel on each axis. The
+    layer needs two or more output channels: with one, every tap's matmul
+    is a gemv, whose rounding moves with the column count, so the cropped
+    conv would not match the trio's bytes. The pool takes its window
+    maximum before the ReLU (relu(max) == max(relu)), with the same tie
+    rule as :class:`MaxPool3d`. Backward routes each live window's gradient
+    to the input patch under its argmax, so the weight gradient costs one
+    patch per pooled output instead of a pass over every conv output. The
+    layer must come first in a network: backward returns no input gradient.
     """
 
     def __init__(self, in_channels, out_channels, kernel, padding, pool_kernel,
-                 pool_stride, rng=None):
+                 rng=None):
+        if out_channels < 2:
+            raise ValueError(
+                f"conv_relu_pool3d needs >= 2 output channels, got {out_channels}")
         super().__init__(in_channels, out_channels, kernel, padding, rng)
         self.pool_kernel = tuple(pool_kernel)
-        self.pool_stride = tuple(pool_stride)
-        if any(k < 1 for k in self.pool_kernel) or any(s < 1 for s in self.pool_stride):
-            raise ValueError("pool kernel and stride entries must be >= 1")
+        if any(k < 1 for k in self.pool_kernel):
+            raise ValueError(
+                f"pool kernel entries must be >= 1, got {self.pool_kernel}")
 
     def forward(self, x, tape=None):
         self._check_input(x)
@@ -391,18 +391,11 @@ class ConvReLUPool3d(Conv3d):
                 raise ShapeError(
                     f"conv_relu_pool3d axis '{AXIS_NAMES[1 + i]}': conv extent "
                     f"{conv_shape[i]} < pool kernel {self.pool_kernel[i]}")
-        pooled = pool3d_output_shape(conv_shape, self.pool_kernel, self.pool_stride)
-        read = tuple((pooled[i] - 1) * self.pool_stride[i] + self.pool_kernel[i]
-                     for i in range(3))
-        if self.out_channels == 1 or np.prod(read) == 1:
-            # numpy sends a matmul with a unit dimension to gemv or dot, whose
-            # rounding differs from gemm's and, for gemv, moves with the column
-            # count; only two gemm calls agree column by column, so convolve
-            # Conv3d's full extent here to keep the output bitwise the trio's
-            read = conv_shape
+        pooled = pool3d_output_shape(conv_shape, self.pool_kernel)
+        read = tuple(p * k for p, k in zip(pooled, self.pool_kernel))
         xp = self._pad(x)
         windows, argmax, best = _pool_max(self._correlate(xp, read),
-                                          self.pool_kernel, self.pool_stride)
+                                          self.pool_kernel)
         live = best > 0
         # a dead window pools ReLU zeros and keeps its first, whose sign of
         # zero follows the first conv output
@@ -411,15 +404,13 @@ class ConvReLUPool3d(Conv3d):
             tape.put(self, (xp, argmax, live))
         return out
 
-    def backward(self, upstream, tape, need_input_grad=False):
-        if need_input_grad:
-            raise ValueError("conv_relu_pool3d is an input layer: no input gradient")
+    def backward(self, upstream, tape):
         xp, argmax, live = tape.take(self)
         if upstream.shape != argmax.shape:
             raise ShapeError(
                 f"conv_relu_pool3d upstream shape {upstream.shape} != output "
                 f"shape {argmax.shape}")
-        _, d, h, w = _argmax_coords(argmax, self.pool_kernel, self.pool_stride)
+        _, d, h, w = _argmax_coords(argmax, self.pool_kernel)
         # patches[f, ..., c, i, j, k] = xp[c, d + i, h + j, w + k] at f's argmax
         patches = sliding_window_view(xp, self.kernel, axis=(1, 2, 3))
         patches = patches.transpose(1, 2, 3, 0, 4, 5, 6)[d, h, w]
@@ -440,10 +431,8 @@ class ReLU:
             tape.put(self, mask)
         return x * mask
 
-    def backward(self, upstream, tape, need_input_grad=True):
-        mask = tape.take(self)
-        tape.set_grads(self, [])
-        return upstream * mask if need_input_grad else None
+    def backward(self, upstream, tape):
+        return upstream * tape.take(self)
 
 
 class Reshape:
@@ -460,10 +449,8 @@ class Reshape:
             tape.put(self, x.shape)
         return x.reshape(self.target_shape)
 
-    def backward(self, upstream, tape, need_input_grad=True):
-        in_shape = tape.take(self)
-        tape.set_grads(self, [])
-        return upstream.reshape(in_shape) if need_input_grad else None
+    def backward(self, upstream, tape):
+        return upstream.reshape(tape.take(self))
 
 
 class Linear:
@@ -488,13 +475,13 @@ class Linear:
             tape.put(self, x)
         return self.weights @ x + self.bias
 
-    def backward(self, upstream, tape, need_input_grad=True):
+    def backward(self, upstream, tape):
         x = tape.take(self)
         if upstream.shape != (self.out_features,):
             raise ShapeError(
                 f"linear upstream shape {upstream.shape} != ({self.out_features},)")
         tape.set_grads(self, [np.outer(upstream, x), upstream.copy()])
-        return self.weights.T @ upstream if need_input_grad else None
+        return self.weights.T @ upstream
 
 
 class Network:
@@ -508,11 +495,12 @@ class Network:
             x = layer.forward(x, tape)
         return x
 
-    def backward(self, upstream, tape, need_input_grad=False):
-        """Propagate loss gradient; input gradient only if requested."""
-        for idx in range(len(self.layers) - 1, -1, -1):
-            need = need_input_grad or idx > 0
-            upstream = self.layers[idx].backward(upstream, tape, need_input_grad=need)
+    def backward(self, upstream, tape):
+        """Propagate the loss gradient through the layers in reverse,
+        recording each layer's parameter gradients on the tape; returns the
+        first layer's input gradient (None after a fused input layer)."""
+        for layer in reversed(self.layers):
+            upstream = layer.backward(upstream, tape)
         return upstream
 
     def params(self):

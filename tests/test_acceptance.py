@@ -26,8 +26,8 @@ from semcom.overhead import (format_reduction_percent, reduction_vs_sc,
                              reference_report)
 from semcom.simulate import run_simulation
 from semcom.synthdata import make_codec_dataset, make_posture_dataset
-from semcom.tensor import (Conv3d, Linear, MaxPool3d, Network, ReLU, Reshape,
-                           grad_check)
+from semcom.tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
+                           ReLU, Reshape, grad_check)
 from semcom.weights_io import (ContainerFormatError, ContainerTruncatedError,
                                ContainerVersionError, read_arrays)
 
@@ -125,14 +125,16 @@ class TestCriterion3ShapeChain:
 class TestCriterion4Gradients:
     def test_tiny_network_gradcheck(self):
         rng = np.random.default_rng(7)
+        # the net of `semcom gradcheck`, built from the codec's layer types
         net = Network([
-            Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng),
+            ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 2, 2), rng),
+            Conv3d(3, 2, (3, 3, 3), (1, 1, 1), rng),
             ReLU(),
-            MaxPool3d((2, 2, 2), (2, 2, 2)),
+            MaxPool3d((2, 2, 2)),
             Reshape((-1,)),
-            Linear(2 * 2 * 3 * 3, 3, rng),
+            Linear(8, 3, rng),
         ])
-        x = rng.uniform(0.0, 1.0, (2, 4, 6, 6))
+        x = rng.uniform(0.0, 1.0, (2, 4, 8, 8))
         one_hot = np.zeros(3)
         one_hot[int(rng.integers(0, 3))] = 1.0
         t0 = time.perf_counter()

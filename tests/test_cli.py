@@ -29,6 +29,23 @@ class TestOverheadCommand:
         out = capsys.readouterr().out
         assert "40" in out and "20" in out
 
+    def test_ledger_source_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["overhead"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "--paper" in err and "--n-f" in err
+
+    def test_paper_and_custom_ledger_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["overhead", "--paper", "--n-f", "4"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_more_uploads_than_frames_is_a_negative_reduction(self, capsys):
+        assert main(["overhead", "--n-f", "4", "--n-t", "9"]) == 0
+        assert "reduction: -125.0%" in capsys.readouterr().out
+
     def test_json_emission(self, tmp_path, capsys):
         target = tmp_path / "table.json"
         assert main(["overhead", "--paper", "--json", str(target)]) == 0

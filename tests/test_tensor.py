@@ -182,22 +182,22 @@ class TestConv3dBackward:
 
 class TestMaxPool3d:
     def test_encoder_pool_shape(self):
-        pool = MaxPool3d((3, 5, 5), (3, 5, 5))
+        pool = MaxPool3d((3, 5, 5))
         out = pool.forward(np.zeros((4, 16, 112, 112)))
         assert out.shape == (4, 5, 22, 22)
 
     def test_decoder_pool_shape(self):
-        pool = MaxPool3d((2, 2, 2), (2, 2, 2))
+        pool = MaxPool3d((2, 2, 2))
         out = pool.forward(np.zeros((4, 5, 22, 22)))
         assert out.shape == (4, 2, 11, 11)
 
     def test_constant_input(self):
-        pool = MaxPool3d((2, 2, 2), (2, 2, 2))
+        pool = MaxPool3d((2, 2, 2))
         out = pool.forward(np.full((1, 4, 4, 4), 3.25))
         assert np.all(out == 3.25)
 
     def test_strictly_increasing_routes_to_last(self):
-        pool = MaxPool3d((2, 2, 2), (2, 2, 2))
+        pool = MaxPool3d((2, 2, 2))
         x = np.arange(4 * 4 * 4, dtype=np.float64).reshape(1, 4, 4, 4)
         tape = Tape()
         out = pool.forward(x, tape)
@@ -210,7 +210,7 @@ class TestMaxPool3d:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, 4, 4))
-        pool = MaxPool3d((2, 2, 2), (2, 2, 2))
+        pool = MaxPool3d((2, 2, 2))
         target = rng.standard_normal((1, 2, 2, 2))
 
         def loss_fn():
@@ -223,7 +223,7 @@ class TestMaxPool3d:
         assert rel_err(grad_x, numeric) < 1e-4
 
     def test_tie_goes_to_lowest_flat_index(self):
-        pool = MaxPool3d((2, 2, 2), (2, 2, 2))
+        pool = MaxPool3d((2, 2, 2))
         x = np.ones((1, 2, 2, 2))
         tape = Tape()
         out = pool.forward(x, tape)
@@ -233,18 +233,23 @@ class TestMaxPool3d:
         np.testing.assert_array_equal(grad, expected)
 
     def test_kernel_larger_than_input(self):
-        pool = MaxPool3d((3, 3, 3), (1, 1, 1))
+        pool = MaxPool3d((3, 3, 3))
         with pytest.raises(ShapeError, match="height"):
             pool.forward(np.zeros((1, 3, 2, 3)))
 
-    def test_overlapping_windows_accumulate(self):
-        pool = MaxPool3d((2, 2, 2), (1, 1, 1))
-        x = np.zeros((1, 3, 3, 3))
-        x[0, 1, 1, 1] = 5.0   # max of all 8 overlapping windows
+    def test_windows_tile_and_drop_the_remainder(self):
+        pool = MaxPool3d((2, 3, 1))
+        x = np.random.default_rng(12).standard_normal((2, 5, 7, 3))
         tape = Tape()
         out = pool.forward(x, tape)
+        want = x[:, :4, :6].reshape(2, 2, 2, 2, 3, 3, 1).max(axis=(2, 4, 6))
+        np.testing.assert_array_equal(out, want)
         grad = pool.backward(np.ones_like(out), tape)
-        assert grad[0, 1, 1, 1] == 8.0
+        # each window's gradient lands once, on its maximum; the remainder
+        # rows get none
+        assert np.count_nonzero(grad) == out.size
+        np.testing.assert_array_equal(np.sort(x[grad != 0]), np.sort(out, axis=None))
+        assert np.all(grad[:, 4:] == 0) and np.all(grad[:, :, 6:] == 0)
 
 
 def reference_trio(fused):
@@ -253,7 +258,7 @@ def reference_trio(fused):
                   fused.padding)
     conv.weights[...] = fused.weights
     conv.bias[...] = fused.bias
-    return Network([conv, ReLU(), MaxPool3d(fused.pool_kernel, fused.pool_stride)])
+    return Network([conv, ReLU(), MaxPool3d(fused.pool_kernel)])
 
 
 def fused_and_trio_grads(fused, x, upstream):
@@ -299,16 +304,16 @@ def oracle_conv(conv, x):
 
 def oracle_fused(fused, x):
     """ConvReLUPool3d.forward as the oracle conv -> ReLU -> MaxPool3d."""
-    pool = MaxPool3d(fused.pool_kernel, fused.pool_stride)
+    pool = MaxPool3d(fused.pool_kernel)
     return pool.forward(ReLU().forward(oracle_conv(fused, x)))
 
 
 def random_layer(data, fused):
     """A Conv3d or ConvReLUPool3d with random shapes, weights and bias, and
     an input for it; extents may be 1 on any axis. Up to 8 input channels,
-    the most any codec conv has."""
+    the most any codec conv has; the fused layer has at least 2 filters."""
     c = data.draw(st.integers(1, 8))
-    f = data.draw(st.integers(1, 4))
+    f = data.draw(st.integers(2 if fused else 1, 4))
     kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
     pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
     pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3)) if fused else (1,) * 3
@@ -317,8 +322,7 @@ def random_layer(data, fused):
                  for i in range(3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if fused:
-        stride = tuple(data.draw(st.integers(1, 4)) for _ in range(3))
-        layer = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+        layer = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
     else:
         layer = Conv3d(c, f, kernel, pad, rng)
     layer.bias[...] = rng.normal(0.0, 0.3, f)
@@ -444,15 +448,14 @@ class TestConvReLUPool3d:
     @given(st.data())
     def test_forward_equals_trio(self, data):
         c = data.draw(st.integers(1, 3))
-        f = data.draw(st.integers(1, 3))
+        f = data.draw(st.integers(2, 3))
         kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
         pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
         pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-        stride = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
         dims = tuple(data.draw(st.integers(pool[i] + kernel[i] - 1, 8))
                      for i in range(3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        fused = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+        fused = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
         fused.bias[...] = rng.normal(0.0, 0.3, f)
         x = rng.standard_normal((c,) + dims)
         out = fused.forward(x)
@@ -460,19 +463,20 @@ class TestConvReLUPool3d:
         np.testing.assert_array_equal(out, ref)
         assert out.tobytes() == ref.tobytes()   # signs of zero too
 
-    @pytest.mark.parametrize("c, f, kernel, pad, pool, stride, dims", [
-        # one output channel: each tap's matmul goes to gemv, whose rounding
-        # depends on the column count
-        (2, 1, (2, 2, 2), (0, 0, 0), (2, 2, 2), (3, 3, 3), (6, 7, 8)),
-        (2, 1, (1, 1, 2), (0, 0, 0), (1, 1, 1), (1, 2, 1), (1, 2, 2)),
-        # the pool reads one position: the cropped matmul has one column
-        (3, 2, (2, 2, 2), (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)),
+    @pytest.mark.parametrize("c, f, kernel, pad, pool, dims", [
+        # one input channel: each tap's matmul has inner dimension 1
+        (1, 2, (2, 2, 2), (0, 0, 0), (2, 2, 2), (6, 7, 8)),
+        # H' = W' = 1: the whole read depth is one slab, shorter than the
+        # trio's full conv depth
+        (2, 3, (2, 2, 2), (0, 0, 0), (2, 1, 1), (8, 2, 2)),
+        # the pool reads one position: the matmul has one column
+        (3, 2, (2, 2, 2), (0, 0, 0), (1, 1, 1), (2, 2, 2)),
     ])
     def test_forward_equals_trio_at_unit_matmul_dimensions(
-            self, c, f, kernel, pad, pool, stride, dims):
+            self, c, f, kernel, pad, pool, dims):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            fused = ConvReLUPool3d(c, f, kernel, pad, pool, stride, rng)
+            fused = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
             fused.bias[...] = rng.normal(0.0, 0.3, f)
             x = rng.standard_normal((c,) + dims)
             ref = reference_trio(fused).forward(x)
@@ -480,7 +484,7 @@ class TestConvReLUPool3d:
 
     def test_codec_shapes_forward_equals_trio(self):
         rng = np.random.default_rng(5)
-        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5), rng)
+        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), rng)
         fused.bias[...] = [0.1, -0.2, 0.0, -0.05]
         x = rng.uniform(0.0, 1.0, (3, 16, 112, 112))
         out = fused.forward(x)
@@ -490,14 +494,14 @@ class TestConvReLUPool3d:
 
     def test_grads_match_trio_random(self):
         rng = np.random.default_rng(21)
-        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), (2, 3, 3), rng)
+        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), rng)
         x = rng.standard_normal((2, 6, 9, 9))
         upstream = rng.standard_normal((3, 3, 3, 3))
         assert_grads_close(*fused_and_trio_grads(fused, x, upstream))
 
     def test_grads_match_trio_dead_windows_and_ties(self):
         rng = np.random.default_rng(4)
-        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), (2, 3, 3), rng)
+        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), rng)
         fused.weights[1] = np.abs(fused.weights[1])
         fused.bias[...] = [0.0, -50.0, 0.25]     # channel 1: every window dead
         x = rng.uniform(0.0, 1.0, (2, 6, 9, 9))
@@ -514,7 +518,7 @@ class TestConvReLUPool3d:
     def test_grad_check_tiny_network(self):
         rng = np.random.default_rng(3)
         net = Network([
-            ConvReLUPool3d(2, 2, (3, 3, 3), (1, 1, 1), (2, 2, 2), (2, 2, 2), rng),
+            ConvReLUPool3d(2, 2, (3, 3, 3), (1, 1, 1), (2, 2, 2), rng),
             Reshape((-1,)),
             Linear(2 * 2 * 3 * 3, 3, rng),
         ])
@@ -522,7 +526,7 @@ class TestConvReLUPool3d:
         assert grad_check(net, x, np.eye(3)[1], epsilon=1e-5) < 1e-4
 
     def test_input_smaller_than_pool_window(self):
-        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), (3, 5, 5),
+        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
                                np.random.default_rng(0))
         with pytest.raises(ShapeError, match="axis 'depth'"):
             fused.forward(np.zeros((3, 2, 112, 112)))
@@ -531,13 +535,9 @@ class TestConvReLUPool3d:
         with pytest.raises(ShapeError, match="axis 'channels'"):
             fused.forward(np.zeros((2, 16, 112, 112)))
 
-    def test_input_gradient_rejected(self):
-        rng = np.random.default_rng(0)
-        fused = ConvReLUPool3d(1, 1, (3, 3, 3), (1, 1, 1), (2, 2, 2), (2, 2, 2), rng)
-        tape = Tape()
-        out = fused.forward(rng.standard_normal((1, 4, 4, 4)), tape)
-        with pytest.raises(ValueError, match="input layer"):
-            fused.backward(np.ones_like(out), tape, need_input_grad=True)
+    def test_one_filter_rejected(self):
+        with pytest.raises(ValueError, match=">= 2 output channels"):
+            ConvReLUPool3d(2, 1, (3, 3, 3), (1, 1, 1), (2, 2, 2))
 
 
 class TestLinearSoftmax:
@@ -617,14 +617,15 @@ class TestShapeAlgebra:
         out = conv3d_output_shape((extent,) * 3, (kernel,) * 3, (pad,) * 3)
         assert out == (extent + 2 * pad - kernel + 1,) * 3
 
-    @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
-    def test_pool_shape_formula(self, extent, kernel, stride):
-        out = pool3d_output_shape((extent,) * 3, (kernel,) * 3, (stride,) * 3)
-        assert out == ((extent - kernel) // stride + 1,) * 3
+    @given(st.integers(1, 30), st.integers(1, 6))
+    def test_pool_shape_formula(self, extent, kernel):
+        """One output per window start that fits, stepping by the kernel."""
+        out = pool3d_output_shape((extent,) * 3, (kernel,) * 3)
+        assert out == (len(range(0, extent - kernel + 1, kernel)),) * 3
 
     def test_encoder_composition(self):
         conv_out = conv3d_output_shape((16, 112, 112), (3, 3, 3), (1, 1, 1))
-        pooled = pool3d_output_shape(conv_out, (3, 5, 5), (3, 5, 5))
+        pooled = pool3d_output_shape(conv_out, (3, 5, 5))
         assert conv_out == (16, 112, 112)
         assert pooled == (5, 22, 22)
 
@@ -649,7 +650,7 @@ class TestGradCheck:
         net = Network([
             Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng),
             ReLU(),
-            MaxPool3d((2, 2, 2), (2, 2, 2)),
+            MaxPool3d((2, 2, 2)),
             Reshape((-1,)),
             Linear(2 * 2 * 3 * 3, 3, rng),
         ])

@@ -213,3 +213,49 @@ class TestSemf:
     def test_dtype_validation(self, tmp_path):
         with pytest.raises(ValueError, match="uint8"):
             write_frames(tmp_path / "v.semf", np.zeros((1, 2, 2, 3)))
+
+
+class TestCorruptFiles:
+    """A cut or a flipped bit anywhere either reads or raises a
+    ContainerError subclass; no other exception, and no warning (the suite
+    makes warnings errors), escapes a reader."""
+
+    @staticmethod
+    def semw(tmp_path):
+        path = tmp_path / "small.semw"
+        write_arrays(path, {"gewicht-äω": np.array([1.5, np.inf]),
+                            "b": np.array([[0.25, -2.0, 3.0]])})
+        return path, read_arrays
+
+    @staticmethod
+    def semf(tmp_path):
+        path = tmp_path / "small.semf"
+        frames = np.arange(2 * 2 * 3 * 3, dtype=np.uint8).reshape(2, 2, 3, 3)
+        write_frames(path, frames)
+        return path, read_frames
+
+    @staticmethod
+    def corruptions(data):
+        for cut in range(len(data)):
+            yield data[:cut]
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield bytes(flipped)
+
+    @pytest.mark.parametrize("make", ["semw", "semf"])
+    def test_every_cut_and_bit_flip(self, tmp_path, make):
+        path, read = getattr(self, make)(tmp_path)
+        data = path.read_bytes()
+        corrupt = tmp_path / "corrupt"
+        refused = 0
+        for case in self.corruptions(data):
+            corrupt.write_bytes(case)
+            try:
+                got = read(corrupt)
+            except weights_io.ContainerError:
+                refused += 1
+            else:
+                if make == "semw":
+                    assert not any(np.isnan(a).any() for a in got.values())
+        assert refused >= len(data)    # every cut, at least
