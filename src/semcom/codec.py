@@ -3,7 +3,9 @@
 Encoder (camera side): conv3d(3->4, k3, pad 1) -> ReLU -> maxpool (3,5,5)
 whose windows tile the conv output, run as one fused layer
 (:class:`tensor.ConvReLUPool3d`) that convolves only the 15x110x110 extent
-the pool reads and back-propagates only through the pool winners. It
+the pool reads, 3 depth rows (one pool depth window) at a time, pools each
+window as soon as it is convolved, and back-propagates only through the
+pool winners. It
 produces a 4x5x22x22 feature that is reshaped row-major into 4,840 complex
 symbols (even elements real, odd elements imaginary) and power-normalized
 to unit average symbol power.

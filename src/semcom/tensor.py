@@ -1,21 +1,22 @@
 """Minimal dense-tensor kernel: 3D conv/pool/linear layers with exact backward
 passes, plain SGD, and a finite-difference gradient checker.
 
-Every convolution forward runs one kernel, ``Conv3d._correlate``: per
+Every convolution forward runs one kernel, ``Conv3d._slab_loop``: per
 kernel tap, one matmul of the tap's weights with a contiguous column slice
 of the flattened padded input, accumulated over cache-sized slabs of output
 depth rows. Each tap's product goes into the accumulator in place, through
 one call of numpy's own OpenBLAS dgemm with beta = 1, reached with ctypes.
-A matmul with a unit dimension or a deep input (see ``_correlate``), and
+A matmul with a unit dimension or a deep input (see ``_slab_loop``), and
 every tap on a numpy without that dgemm, runs ``acc += W_tap @ slice``
 instead. Up to 8 input channels, its bytes are those of a per-tap matmul
 over copied windows, because each output gets the same gemm products in
 the same order.
 
 :class:`ConvReLUPool3d` fuses conv -> ReLU -> max-pool for an input layer:
-it convolves only the extent the pool reads and forms the weight gradient
-from the pool winners' input patches alone, with outputs bitwise equal to
-the three separate layers.
+it convolves only the extent the pool reads, one group of pool depth
+windows at a time, pooling each group as soon as it is convolved, and
+forms the weight gradient from the pool winners' input patches alone, with
+outputs bitwise equal to the three separate layers.
 
 All arrays are C-contiguous float64 ndarrays. Layers hold parameters only;
 per-call activations live on an explicit :class:`Tape`, so inference with
@@ -36,17 +37,23 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 AXIS_NAMES = ("channels", "depth", "height", "width")
 
-# Column budget of one depth slab in Conv3d._correlate. A 4-channel float64
+# Column budget of one depth slab in Conv3d._slab_loop. A 4-channel float64
 # accumulator of 16,384 columns is 512 KiB, so it fits in a 2 MiB L2 with
 # the tap product and the input slice. The codec's 114 x 114 padded encoder
 # plane then runs one depth row per slab, and every decoder plane one slab.
 _SLAB_COLUMNS = 16384
 
-# Most input channels a tap's in-place dgemm may sum over. OpenBLAS splits a
-# deeper product into panels (384 deep on its AVX-512 kernel, 256 on
-# Haswell's) and adds each panel onto C, so with beta = 1 the accumulator
-# would join the first panel's sum instead of the whole product.
-_GEMM_MAX_CHANNELS = 64
+# Most input channels a tap's in-place dgemm may sum over: the most any codec
+# conv has and the most the tests' random oracles draw. Deeper layers take
+# the numpy route. Against the per-tap-copy oracle, a (2, 2, 2) kernel over
+# a (c, 2, 3, 5) input matched on the dgemm route up to 15 channels; from 16
+# on, both routes differ from the oracle in the last bits there (BLAS rounds
+# such small products differently for the oracle's compact windows and for
+# a slab's column span), while (3, 9, 40) inputs still matched. OpenBLAS also
+# splits a product deeper than its panels (384 on AVX-512, 256 on Haswell)
+# and adds each panel onto C, so with beta = 1 the accumulator would join
+# the first panel's sum instead of the whole product.
+_GEMM_MAX_CHANNELS = 8
 
 
 def _load_dgemm():
@@ -167,44 +174,58 @@ class Conv3d:
         return np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
     def _correlate(self, xp, extent):
-        """Outputs over the leading (D', H', W') = extent of the padded input.
+        """Outputs over the leading (D', H', W') = extent of the padded input:
+        the slab loop of :meth:`_slab_loop` over every depth row, then the
+        bias."""
+        _, fill = self._slab_loop(xp, extent)
+        out = np.empty((self.out_channels,) + tuple(extent))
+        fill(0, out)
+        out += self.bias[:, None, None, None]
+        return out
+
+    def _slab_loop(self, xp, extent):
+        """(rows, fill) for the outputs over the leading (D', H', W') =
+        extent of the padded input. ``fill(d0, out)`` writes the bias-free
+        outputs of depth rows d0 .. d0 + out.shape[1] into the (O, n, H',
+        W') array ``out``, in slabs of ``rows`` depth rows (the last one
+        shorter). The weight block and the dgemm arguments are laid out once
+        here, not once per call of ``fill``.
 
         With the (C, D, H, W) padded input flattened to (C, D*H*W), tap
         (i, j, k) of output (d, h, w) reads column ((d + i)*H + h + j)*W +
         w + k, so each tap's operand is one contiguous column slice and no
-        window is copied. Output depth rows go in slabs of as many rows as
-        fit in _SLAB_COLUMNS columns (at least one), so the accumulator
-        stays in cache. A slab's accumulator is contiguous and spans whole
-        padded (H, W) planes up to the last column its outputs read; it is
-        cropped to (H', W') once, through a strided view.
+        window is copied. A slab holds as many depth rows as fit in
+        _SLAB_COLUMNS columns (at least one), so the accumulator stays in
+        cache. A slab's accumulator is contiguous and spans whole padded
+        (H, W) planes up to the last column its outputs read; it is cropped
+        to (H', W') once, through a strided view.
 
         Each tap is one BLAS dgemm call with beta = 1 that adds the tap's
         product into the accumulator in place: with alpha = 1, gemm stores
         fl(acc + fl(W_tap @ slice)), the bytes of ``acc += W_tap @ slice``
-        without that expression's temporary. The weights are laid out once
-        per call as a contiguous (O, C) block per tap. Three cases run the
-        numpy expression per tap instead, with the old bytes:
+        without that expression's temporary. The weights are laid out as a
+        contiguous (O, C) block per tap. Three cases run the numpy
+        expression per tap instead, with the old bytes:
 
         - a matmul with a unit dimension (one output channel, one input
           channel, or a one-column span), which numpy sends to gemv or a
           plain loop, not to gemm;
-        - more than _GEMM_MAX_CHANNELS input channels, where gemm would add
-          the product onto the accumulator panel by panel;
+        - more than _GEMM_MAX_CHANNELS input channels (see there);
         - a numpy whose OpenBLAS exports no ILP64 dgemm (``_DGEMM`` None).
 
         Every output gets the per-tap gemm products, added onto zero in
         the same tap order, then the bias, as a per-tap matmul over copied
-        compact windows does. The tests show the two bitwise equal with up
-        to 8 input channels (every codec conv has 3, 4 or 8) over slab
-        budgets from one column to the shipped one. Deeper inputs are not
-        covered: with 16 or more input channels on a shallow input (a
-        (2, 2, 2) kernel over a (c, 2, 3, 5) input) the two can differ in
-        the last bits. A matmul with one row or one column goes to gemv
-        instead, whose rounding depends on the column's place among the
-        columns. So with H' = W' = 1, where a one-depth-row slab would have
-        one column, the whole depth goes in one slab. With one output
-        channel every matmul has one row, and the result is a correct conv
-        within gemv's ulps, not bitwise the old one.
+        compact windows does. The tests show the two bitwise equal on both
+        routes up to 8 input channels (every codec conv has 3, 4 or 8) over
+        slab budgets from one column to the shipped one, and at 9, 64 and
+        400 channels on the numpy route. At 16 channels on a shallow input
+        they differ in the last bits (see _GEMM_MAX_CHANNELS). A matmul with
+        one row or one column goes to gemv instead, whose rounding depends
+        on the column's place among the columns. So with H' = W' = 1, where
+        a one-depth-row slab would have one column, the whole depth goes in
+        one slab. With one output channel every matmul has one row, and the
+        result is a correct conv within gemv's ulps, not bitwise the old
+        one.
 
         The extent is checked against ``xp`` first, because a raw pointer,
         unlike a slice, would read past the buffer instead of truncating.
@@ -217,46 +238,48 @@ class Conv3d:
             raise ShapeError(
                 f"conv3d extent {tuple(extent)} with kernel {self.kernel} "
                 f"reads past the padded input {xp.shape}")
-        out = np.empty((self.out_channels, do, ho, wo))
+        o = self.out_channels
         plane = hp * wp
         xf = np.ascontiguousarray(xp, dtype=np.float64).reshape(c, -1)
         taps = [(i, j, k) for i in range(kd) for j in range(kh) for k in range(kw)]
         offsets = [(i * hp + j) * wp + k for i, j, k in taps]
         rows = do if ho * wo == 1 else max(1, _SLAB_COLUMNS // plane)
-        blas = (_DGEMM is not None and self.out_channels > 1
-                and 1 < c <= _GEMM_MAX_CHANNELS)
-        if blas:
-            # row t of w is tap t's weights as a contiguous (O, C) block
+        gemm = None
+        if _DGEMM is not None and o > 1 and 1 < c <= _GEMM_MAX_CHANNELS:
+            # row t of w is tap t's weights as a contiguous (O, C) block; the
+            # raw tap pointers do not keep w alive, so gemm holds it
             w = np.ascontiguousarray(self.weights.transpose(2, 3, 4, 0, 1),
                                      dtype=np.float64).reshape(len(taps), -1)
-            w_p = w.ctypes.data
-            w_taps = [ctypes.c_void_p(w_p + t * w.strides[0])
-                      for t in range(len(taps))]
-            m, k_dim = ctypes.c_int64(self.out_channels), ctypes.c_int64(c)
+            w_p, w_row = w.ctypes.data, w.strides[0]
+            gemm = (w, [ctypes.c_void_p(w_p + t * w_row) for t in range(len(taps))])
+            m, k_dim = ctypes.c_int64(o), ctypes.c_int64(c)
             x_p, ld_x = xf.ctypes.data, ctypes.c_int64(xf.shape[1])
-        for d0 in range(0, do, rows):
-            n = min(rows, do - d0)
-            span = (n - 1) * plane + (ho - 1) * wp + wo
-            acc = np.zeros((self.out_channels, span))
-            if blas and span > 1:
-                cols = ctypes.c_int64(span)
-                acc_p = ctypes.c_void_p(acc.ctypes.data)
-                for w_tap, offset in zip(w_taps, offsets):
-                    x_tap = x_p + (d0 * plane + offset) * xf.itemsize
-                    _DGEMM(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k_dim,
-                           _ONE, w_tap, k_dim, ctypes.c_void_p(x_tap), ld_x,
-                           _ONE, acc_p, cols)
-            else:
-                for (i, j, k), offset in zip(taps, offsets):
-                    start = d0 * plane + offset
-                    acc += self.weights[:, :, i, j, k] @ xf[:, start:start + span]
-            # output (d0 + e, h, w) sits at column e*plane + h*wp + w < span
-            col = acc.strides[1]
-            out[:, d0:d0 + n] = as_strided(
-                acc, (self.out_channels, n, ho, wo),
-                (acc.strides[0], plane * col, wp * col, col))
-        out += self.bias[:, None, None, None]
-        return out
+
+        def fill(d_start, out):
+            for e0 in range(0, out.shape[1], rows):
+                n = min(rows, out.shape[1] - e0)
+                d0 = d_start + e0
+                span = (n - 1) * plane + (ho - 1) * wp + wo
+                acc = np.zeros((o, span))
+                if gemm is not None and span > 1:
+                    w_taps = gemm[1]
+                    cols = ctypes.c_int64(span)
+                    acc_p = ctypes.c_void_p(acc.ctypes.data)
+                    for w_tap, offset in zip(w_taps, offsets):
+                        x_tap = x_p + (d0 * plane + offset) * xf.itemsize
+                        _DGEMM(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k_dim,
+                               _ONE, w_tap, k_dim, ctypes.c_void_p(x_tap), ld_x,
+                               _ONE, acc_p, cols)
+                else:
+                    for (i, j, k), offset in zip(taps, offsets):
+                        start = d0 * plane + offset
+                        acc += self.weights[:, :, i, j, k] @ xf[:, start:start + span]
+                # output (d0 + e, h, w) sits at column e*plane + h*wp + w < span
+                col = acc.strides[1]
+                out[:, e0:e0 + n] = as_strided(
+                    acc, (o, n, ho, wo), (acc.strides[0], plane * col, wp * col, col))
+
+        return rows, fill
 
     def forward(self, x, tape=None):
         self._check_input(x)
@@ -294,7 +317,7 @@ class Conv3d:
 
 
 def _pool_max(x, kernel):
-    """(flat windows, argmax, max) of tiling pooling windows over (C,D,H,W).
+    """(argmax, max) of tiling pooling windows over (C,D,H,W).
 
     Windows are flattened row-major over (kd,kh,kw), so argmax ties go to
     the lowest flat input index inside the window.
@@ -304,7 +327,7 @@ def _pool_max(x, kernel):
     flat_windows = view.reshape(view.shape[:4] + (-1,))
     argmax = flat_windows.argmax(axis=-1)
     out = np.take_along_axis(flat_windows, argmax[..., None], axis=-1)[..., 0]
-    return flat_windows, argmax, out
+    return argmax, out
 
 
 def _argmax_coords(argmax, kernel):
@@ -339,7 +362,7 @@ class MaxPool3d:
                 raise ShapeError(
                     f"maxpool3d axis '{AXIS_NAMES[1 + i]}': extent {x.shape[1 + i]} "
                     f"< kernel {self.kernel[i]}")
-        _, argmax, out = _pool_max(x, self.kernel)
+        argmax, out = _pool_max(x, self.kernel)
         if tape is not None:
             tape.put(self, (argmax, x.shape))
         return np.ascontiguousarray(out)
@@ -361,7 +384,13 @@ class ConvReLUPool3d(Conv3d):
     Parameters, initialization and input checks are those of
     :class:`Conv3d`, and the output is bitwise that of the three layers in
     a row. The pool's windows tile the conv output, so the convolution runs
-    only over the extent they read: pooled * pool_kernel on each axis. The
+    only over the extent they read: pooled * pool_kernel on each axis. It
+    streams that extent in groups of whole pool depth windows: each group's
+    conv rows go through :meth:`Conv3d._slab_loop` into one reused buffer
+    and are pooled at once, so the full conv output is never built (for
+    the codec, 5 groups of 3 depth rows of 4 x 110 x 110). A group holds at
+    least one slab's rows, so a one-position plane (H' = W' = 1) keeps the
+    whole read depth in one slab instead of one-column gemv groups. The
     layer needs two or more output channels: with one, every tap's matmul
     is a gemv, whose rounding moves with the column count, so the cropped
     conv would not match the trio's bytes. The pool takes its window
@@ -394,12 +423,27 @@ class ConvReLUPool3d(Conv3d):
         pooled = pool3d_output_shape(conv_shape, self.pool_kernel)
         read = tuple(p * k for p, k in zip(pooled, self.pool_kernel))
         xp = self._pad(x)
-        windows, argmax, best = _pool_max(self._correlate(xp, read),
-                                          self.pool_kernel)
+        rows, fill = self._slab_loop(xp, read)
+        # a group of conv depth rows is whole pool depth windows and at least
+        # one slab, so with H' = W' = 1 the whole read depth stays one slab
+        kd, kh, kw = self.pool_kernel
+        group = -(-rows // kd) * kd
+        conv = np.empty((self.out_channels, min(group, read[0])) + read[1:])
+        shape = (self.out_channels,) + pooled
+        argmax, best, first = (np.empty(shape, np.intp), np.empty(shape),
+                               np.empty(shape))
+        bias = self.bias[:, None, None, None]
+        for d0 in range(0, read[0], group):
+            block = conv[:, :min(group, read[0] - d0)]
+            fill(d0, block)
+            block += bias
+            at = slice(d0 // kd, (d0 + block.shape[1]) // kd)
+            argmax[:, at], best[:, at] = _pool_max(block, self.pool_kernel)
+            first[:, at] = block[:, ::kd, ::kh, ::kw]
         live = best > 0
         # a dead window pools ReLU zeros and keeps its first, whose sign of
         # zero follows the first conv output
-        out = np.where(live, best, windows[..., 0] * 0.0)
+        out = np.where(live, best, first * 0.0)
         if tape is not None:
             tape.put(self, (xp, argmax, live))
         return out
@@ -411,11 +455,24 @@ class ConvReLUPool3d(Conv3d):
                 f"conv_relu_pool3d upstream shape {upstream.shape} != output "
                 f"shape {argmax.shape}")
         _, d, h, w = _argmax_coords(argmax, self.pool_kernel)
-        # patches[f, ..., c, i, j, k] = xp[c, d + i, h + j, w + k] at f's argmax
-        patches = sliding_window_view(xp, self.kernel, axis=(1, 2, 3))
-        patches = patches.transpose(1, 2, 3, 0, 4, 5, 6)[d, h, w]
+        _, dp, hp, wp = xp.shape
+        kd, kh, kw = self.kernel
+        # view[(d*hp + h)*wp + w, c, i, j, k] = xp[c, d + i, h + j, w + k]
+        # over the flat padded input, up to the last position whose patch
+        # ends inside it. Indexing it with one filter's argmax positions
+        # gathers that filter's (P, C*kd*kh*kw) patch matrix; one filter at
+        # a time, the codec's gather is 1.6 MB instead of 6.3 MB.
+        flat = xp.reshape(-1)
+        e = flat.itemsize
+        volume = dp * hp * wp
+        positions = volume - ((kd - 1) * hp + kh - 1) * wp - (kw - 1)
+        view = as_strided(flat, (positions, self.in_channels, kd, kh, kw),
+                          (e, volume * e, hp * wp * e, wp * e, e))
+        pos = ((d * hp + h) * wp + w).reshape(self.out_channels, -1)
         g = (upstream * live).reshape(self.out_channels, 1, -1)
-        grad_w = g @ patches.reshape(self.out_channels, g.shape[2], -1)
+        grad_w = np.empty((self.out_channels, 1, view[0].size))
+        for f in range(self.out_channels):
+            grad_w[f] = g[f] @ view[pos[f]].reshape(pos.shape[1], -1)
         tape.set_grads(self, [grad_w.reshape(self.weights.shape),
                               g.sum(axis=(1, 2))])
         return None

@@ -1,6 +1,7 @@
 """Tensor-kernel tests: brute-force and finite-difference oracles."""
 import contextlib
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -386,10 +387,12 @@ class TestCorrelateOracle:
         # an 18 x 130 x 130 padded grid: 16,900 columns per depth row exceed
         # the shipped budget, so each slab is one depth row
         (2, 2, (3, 3, 3), (1, 1, 1), (16, 128, 128), None),
-        # the deepest tap product one in-place dgemm sums, and one deeper
-        # than OpenBLAS's 384-deep panels, which must not take that route
+        # past the in-place dgemm's bound, all on the numpy route: its old
+        # bound, a product deeper than OpenBLAS's 384-deep panels, and the
+        # first channel count past the bound
         (64, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
         (400, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
+        (9, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
     ])
     def test_edge_extents_bitwise_equal_oracle(self, c, f, kernel, pad, dims,
                                                budget):
@@ -402,6 +405,20 @@ class TestCorrelateOracle:
                                budget or tensor._SLAB_COLUMNS):
             for got in forward_on_both_routes(conv, x):
                 assert_matches_oracle(got, want, f)
+
+    def test_sixteen_channels_on_a_shallow_input_within_ulps(self):
+        """From 16 input channels, BLAS rounds the products of a (2, 2, 2)
+        kernel over a (c, 2, 3, 5) input differently for the oracle's
+        compact windows and the slab's column span, on both routes; such a
+        layer runs numpy's expression, and stays within ulps."""
+        rng = np.random.default_rng(11)
+        conv = Conv3d(16, 3, (2, 2, 2), (1, 1, 1), rng)
+        conv.bias[...] = rng.normal(0.0, 0.3, 3)
+        x = rng.standard_normal((16, 2, 3, 5))
+        assert conv.in_channels > tensor._GEMM_MAX_CHANNELS
+        want = oracle_conv(conv, x)
+        for got in forward_on_both_routes(conv, x):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_codec_checkpoint_layers_bitwise_equal_oracle(self):
         """The checkpoint's encoder layer on three rendered segments, and
@@ -471,6 +488,9 @@ class TestConvReLUPool3d:
         (2, 3, (2, 2, 2), (0, 0, 0), (2, 1, 1), (8, 2, 2)),
         # the pool reads one position: the matmul has one column
         (3, 2, (2, 2, 2), (0, 0, 0), (1, 1, 1), (2, 2, 2)),
+        # H' = W' = 1 with one-row pool windows: a group per window would be
+        # a one-column gemv, so the whole read depth stays one slab
+        (3, 4, (2, 2, 2), (0, 0, 0), (1, 1, 1), (8, 2, 2)),
     ])
     def test_forward_equals_trio_at_unit_matmul_dimensions(
             self, c, f, kernel, pad, pool, dims):
@@ -491,6 +511,23 @@ class TestConvReLUPool3d:
         assert out.shape == (4, 5, 22, 22)
         assert np.count_nonzero(out <= 0) > 0
         np.testing.assert_array_equal(out, reference_trio(fused).forward(x))
+
+    def test_forward_never_builds_the_full_conv_output(self):
+        """The codec-shaped forward streams pool depth windows: its peak is
+        the 5.6 MB padded input plus one window's rows, not the 5.8 MB
+        (4, 15, 110, 110) conv output and its 5.8 MB flat window copy."""
+        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
+                               np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (3, 16, 112, 112))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fused.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11e6, peak
 
     def test_grads_match_trio_random(self):
         rng = np.random.default_rng(21)
