@@ -36,7 +36,7 @@ def _cmd_gen_data(args):
             camera = synthdata.RoomCamera(scenario, room)
             weights_io.write_frames(os.path.join(args.out, f"{room}.semf"),
                                     camera.frames(0, camera.total_frames))
-            for g in range(camera.total_frames // codec.SEGMENT_FRAMES):
+            for g in range(camera.n_segments):
                 activity = camera.activity_at_grid(g)
                 name = ("none" if activity is None
                         else codec.ACTIVITY_NAMES[activity])
@@ -91,11 +91,15 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_overhead(args):
+    # the ledger's own defaults fill the counters not given
+    given = {name: getattr(args, name) for name in ("L", "n_t", "n_b")
+             if getattr(args, name) is not None}
     if args.paper:
+        if given:
+            raise ValueError("--paper takes no --L, --n-t or --n-b")
         rep = overhead.reference_report()
     else:
-        ledger = overhead.OverheadLedger(L=args.L, n_f=args.n_f,
-                                         n_t=args.n_t, n_b=args.n_b)
+        ledger = overhead.OverheadLedger(n_f=args.n_f, **given)
         rep = overhead.report(ledger, scenario="custom")
     reduction = overhead.reduction_vs_sc(rep)    # fails before any output
     print(overhead.format_table(rep))
@@ -178,7 +182,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--per-class", type=int, default=40)
-    p.add_argument("--epochs", type=int, default=15)
+    p.add_argument("--epochs", type=int, default=codec.TrainConfig.epochs)
     p.add_argument("--snr-train", type=float, default=25.0)
     p.set_defaults(func=_cmd_train_codec)
 
@@ -187,8 +191,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--per-class", type=int, default=60)
-    p.add_argument("--trees", type=int, default=10)
-    p.add_argument("--max-depth", type=int, default=4)
+    p.add_argument("--trees", type=int, default=forest.DEFAULT_N_TREES)
+    p.add_argument("--max-depth", type=int, default=forest.DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_cmd_train_forest)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
@@ -202,9 +206,9 @@ def build_parser():
                         help="use the reference-scenario constants")
     ledger.add_argument("--n-f", type=int,
                         help="feature frames of a custom ledger")
-    p.add_argument("--L", type=int, default=overhead.REFERENCE_L)
-    p.add_argument("--n-t", type=int, default=0)
-    p.add_argument("--n-b", type=int, default=0)
+    p.add_argument("--L", type=int)
+    p.add_argument("--n-t", type=int)
+    p.add_argument("--n-b", type=int)
     p.add_argument("--json", default="")
     p.set_defaults(func=_cmd_overhead)
 
@@ -215,7 +219,7 @@ def build_parser():
     p = sub.add_parser("eval", help="accuracy-vs-SNR sweep (Fig.-5 style CSV)")
     p.add_argument("--model", required=True)
     p.add_argument("--snr-test", type=float, nargs="+",
-                   default=[7.0, 13.0, 19.0, 25.0])
+                   default=overhead.REFERENCE_SNR_GRID)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--per-class", type=int, default=20)
     p.add_argument("--data-seed", type=int, default=123)

@@ -87,7 +87,6 @@ class VideoSegment:
     :func:`evaluate` caches on it cannot go stale.
     """
 
-    index: int
     frames: np.ndarray
     # (encoder key, SymbolFrame) of the last clean encode; see _clean_frame
     _encoded: tuple = field(default=None, init=False, repr=False,
@@ -112,15 +111,15 @@ class VideoSegment:
         object.__setattr__(self, "frames", frames)
 
     @classmethod
-    def from_rgb_frames(cls, index, frames):
+    def from_rgb_frames(cls, frames):
         """Build from (16, H, W, 3) frames; uint8 is scaled by 1/255."""
         frames = np.asarray(frames)
         if frames.dtype == np.uint8:
             # channels-first while still 1 byte a pixel: the scaled copy is
             # then written in order, with the same values
-            return cls(index, np.ascontiguousarray(
+            return cls(np.ascontiguousarray(
                 np.transpose(frames, (3, 0, 1, 2))) / 255.0, _fresh=True)
-        return cls(index, np.transpose(frames, (3, 0, 1, 2)))
+        return cls(np.transpose(frames, (3, 0, 1, 2)))
 
 
 def power_normalize(flat):
@@ -203,7 +202,6 @@ class CodecModel:
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.seed = seed
         self.enc_conv = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
                                        rng)
         self.dec_conv1 = Conv3d(4, 8, (3, 3, 3), (1, 1, 1), rng)

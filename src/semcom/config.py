@@ -19,13 +19,13 @@ class SimConfig:
     seed: int = 0
     video_snr_db: float = 25.0
     accel_snr_db: float = 25.0
-    validation_windows: int = 3
-    segments_per_ack: int = 1
+    validation_windows: int = AckPolicy.validation_windows
+    segments_per_ack: int = AckPolicy.segments_per_ack
     ack_targets: str = "broadcast"          # or comma-separated room names
     settle_windows: int = 3                 # posture-accuracy margin after a PT
-    accel_noise_g: float = 0.05
-    pixel_noise: float = 0.005
-    position_jitter: int = 4
+    accel_noise_g: float = Scenario.accel_noise_g
+    pixel_noise: float = Scenario.pixel_noise
+    position_jitter: int = Scenario.position_jitter
     scenario: str = "sleeping:20,resting:20,dress-up:20,eating:20,calling:20"
     codec_model: str = ""
     forest_model: str = ""

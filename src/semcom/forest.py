@@ -79,7 +79,7 @@ class Tree:
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    hist: np.ndarray   # (n_nodes, n_classes) class counts
+    hist: np.ndarray   # (nodes, classes) class counts
 
     def predict_class(self, u):
         """int64 array of the class of the leaf each feature of u reaches."""
@@ -92,10 +92,6 @@ class Tree:
             node = np.where(inner, down, node)
             inner = self.left[node] != _NO_CHILD
         return np.argmax(self.hist, axis=1)[node]   # lowest code wins ties
-
-    @property
-    def n_nodes(self):
-        return self.threshold.size
 
 
 def _grow_tree(u, y, max_depth):

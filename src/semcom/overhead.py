@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-SYMBOLS_PER_FEATURE = 4840
-
 REFERENCE_L = 4840
 REFERENCE_N_F = 1852
 REFERENCE_N_T = 36
@@ -33,7 +31,7 @@ class OverheadLedger:
     video size in bits; raw_symbols: accelerometer symbols sent.
     """
 
-    L: int = SYMBOLS_PER_FEATURE
+    L: int = REFERENCE_L
     n_f: int = 0
     n_t: int = 0
     n_b: int = 0
@@ -96,14 +94,11 @@ def report(ledger, scenario="simulation"):
     }
 
 
-def reference_ledger():
-    """Ledger preloaded with the reference-scenario constants."""
-    return OverheadLedger(L=REFERENCE_L, n_f=REFERENCE_N_F,
-                          n_t=REFERENCE_N_T, n_b=REFERENCE_N_B)
-
-
 def reference_report():
-    return report(reference_ledger(), scenario="reference")
+    """The overhead table of the reference-scenario constants."""
+    return report(OverheadLedger(L=REFERENCE_L, n_f=REFERENCE_N_F,
+                                 n_t=REFERENCE_N_T, n_b=REFERENCE_N_B),
+                  scenario="reference")
 
 
 def reduction_vs_sc(rep):

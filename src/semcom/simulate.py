@@ -15,10 +15,11 @@ postures fill one int64 code array, the same kind as the ground truth
 that ``gen_accel_trace`` reads from the scenario's step timeline; the
 controller then reads that array in one call and returns its ACKs. Each
 ACK resolves its target cameras, and each target uploads
-``segments_per_ack`` segments of its stride-16 grid from the current one
-on; the ledger bills each upload as N_t (ACKs with overlapping segments
-upload a segment again, so N_t can exceed N_f). An upload whose 16 frames
-would run past the end of the scenario is skipped: it is counted in
+``segments_per_ack`` segments of its stride-16 grid from the ACK
+second's one (``grid_at_second``) on; the ledger bills each upload as N_t
+at the codec's L (ACKs with overlapping segments upload a segment again,
+so N_t can exceed N_f, the cameras' summed ``n_segments``). An upload
+past a camera's ``n_segments`` is skipped: it is counted in
 ``skipped_uploads`` and not billed.
 
 An active-room upload (the room films its own activity in that segment)
@@ -47,11 +48,11 @@ from . import overhead
 from .accel import (SYMBOLS_PER_FRAME, WINDOW_SAMPLES, GravityFilter,
                     decode_raw, encode_raw, gravity_feature)
 from .channel import Channel
-from .codec import (SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
-                    ACTIVITY_NAMES, classify, decode, encode)
+from .codec import (SYMBOLS_PER_SEGMENT, Activity, ACTIVITY_NAMES, classify,
+                    decode, encode)
 from .controller import (AckPolicy, TransmissionController, dispatch,
                          format_event)
-from .synthdata import FPS, ROOMS, RoomCamera, gen_accel_trace
+from .synthdata import ROOMS, RoomCamera, gen_accel_trace, grid_at_second
 
 
 @dataclass
@@ -156,11 +157,11 @@ def run_simulation(cfg, codec_model, forest):
     for event in controller.observe(posture_pred):
         targets = dispatch(event, policy, ROOMS)
         event_lines.append(format_event(event))
-        base_grid = (event.t * FPS) // SEGMENT_FRAMES
+        base_grid = grid_at_second(event.t)
         for room in targets:
             camera = cameras[room]
             for grid in range(base_grid, base_grid + policy.segments_per_ack):
-                if (grid + 1) * SEGMENT_FRAMES > camera.total_frames:
+                if grid >= camera.n_segments:
                     skipped += 1
                     continue
                 uploads += 1
@@ -182,7 +183,8 @@ def run_simulation(cfg, codec_model, forest):
                     truthed_correct += 1
 
     ledger = overhead.OverheadLedger(
-        n_f=len(ROOMS) * (cameras[ROOMS[0]].total_frames // SEGMENT_FRAMES),
+        L=SYMBOLS_PER_SEGMENT,
+        n_f=sum(camera.n_segments for camera in cameras.values()),
         n_t=uploads, raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred))
 
     # posture bookkeeping

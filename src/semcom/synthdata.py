@@ -6,7 +6,9 @@ through 4 s of walking (the person moves between rooms), during which no
 room shows an activity. ``step_timeline`` is the one per-second timeline
 (each second's index into the scenario's steps, -1 while walking); the
 posture truth, the camera frames and the segment labels are all read
-from it.
+from it. Each camera's stream is a stride-16 grid of
+``RoomCamera.n_segments`` whole 16-frame segments (N_f per camera); a grid
+lookup outside it raises ``IndexError``.
 
 Video: the active room renders its activity's blob at a class-specific
 position, drifting with a class-specific velocity that loops every 16
@@ -157,6 +159,11 @@ def step_timeline(scenario):
     return np.repeat(index, seconds)
 
 
+def grid_at_second(t):
+    """The stride-16 grid segment that holds second t's first frame."""
+    return (t * FPS) // SEGMENT_FRAMES
+
+
 def gravity_direction(posture):
     """Unit vector whose cosine against [0,0,1] is the posture's mean."""
     c = POSTURE_MEAN_COSINE[posture]
@@ -225,7 +232,7 @@ def make_codec_dataset(n_per_class, seed=0):
     for i in range(n_per_class):
         for activity in Activity:
             frames = render_clip(activity, rng)
-            segments.append(VideoSegment.from_rgb_frames(len(segments), frames))
+            segments.append(VideoSegment.from_rgb_frames(frames))
             labels.append(int(activity))
     return segments, labels
 
@@ -301,27 +308,25 @@ class RoomCamera:
     def frames(self, start, count):
         return np.stack([self.frame(start + i) for i in range(count)])
 
+    @property
+    def n_segments(self):
+        """Whole 16-frame segments in the stream: N_f for this camera."""
+        return self.total_frames // SEGMENT_FRAMES
+
     def segment_at_grid(self, grid_index):
         """VideoSegment grid_index from the stride-16 segmentation."""
-        frames = self.frames(grid_index * SEGMENT_FRAMES, SEGMENT_FRAMES)
-        return VideoSegment.from_rgb_frames(grid_index, frames)
-
-    def segment_label(self, grid_index):
-        """Ground-truth (activity, room) of a grid segment, or None while
-        walking or past the scenario end; a negative index is an error."""
-        if grid_index < 0:
-            raise IndexError(f"segment {grid_index} outside the scenario")
-        second = (grid_index * SEGMENT_FRAMES) // FPS
-        if second >= len(self._steps) or self._steps[second] < 0:
-            return None
-        activity = self.scenario.steps[self._steps[second]].activity
-        return activity, ACTIVITY_ROOM[activity]
+        return VideoSegment.from_rgb_frames(
+            self.frames(grid_index * SEGMENT_FRAMES, SEGMENT_FRAMES))
 
     def activity_at_grid(self, grid_index):
         """The activity this room films in grid segment grid_index, or None
-        when the segment shows background: walking, the activity is in
-        another room, or past the scenario end."""
-        label = self.segment_label(grid_index)
-        if label is None or label[1] != self.room:
+        when the segment shows background: walking, or the activity is in
+        another room. Read at the segment's first frame."""
+        if not 0 <= grid_index < self.n_segments:
+            raise IndexError(f"segment {grid_index} outside the scenario's "
+                             f"{self.n_segments} segments")
+        step_idx = self._steps[grid_index * SEGMENT_FRAMES // FPS]
+        if step_idx < 0:
             return None
-        return label[0]
+        activity = self.scenario.steps[step_idx].activity
+        return activity if ACTIVITY_ROOM[activity] == self.room else None

@@ -173,16 +173,6 @@ class Conv3d:
         pd, ph, pw = self.padding
         return np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
-    def _correlate(self, xp, extent):
-        """Outputs over the leading (D', H', W') = extent of the padded input:
-        the slab loop of :meth:`_slab_loop` over every depth row, then the
-        bias."""
-        _, fill = self._slab_loop(xp, extent)
-        out = np.empty((self.out_channels,) + tuple(extent))
-        fill(0, out)
-        out += self.bias[:, None, None, None]
-        return out
-
     def _slab_loop(self, xp, extent):
         """(rows, fill) for the outputs over the leading (D', H', W') =
         extent of the padded input. ``fill(d0, out)`` writes the bias-free
@@ -284,8 +274,11 @@ class Conv3d:
     def forward(self, x, tape=None):
         self._check_input(x)
         xp = self._pad(x)
-        out = self._correlate(
-            xp, conv3d_output_shape(x.shape[1:], self.kernel, self.padding))
+        extent = conv3d_output_shape(x.shape[1:], self.kernel, self.padding)
+        out = np.empty((self.out_channels,) + extent)
+        _, fill = self._slab_loop(xp, extent)
+        fill(0, out)                 # every depth row, then the bias
+        out += self.bias[:, None, None, None]
         if tape is not None:
             tape.put(self, (xp, x.shape))
         return out

@@ -113,7 +113,7 @@ class TestCriterion3ShapeChain:
     def test_symbol_count_and_deep_feature(self):
         model = CodecModel(seed=1)
         rng = np.random.default_rng(0)
-        segment = VideoSegment(0, rng.uniform(0, 1, (3, 16, 112, 112)))
+        segment = VideoSegment(rng.uniform(0, 1, (3, 16, 112, 112)))
         frame = encode(model, segment)
         assert len(frame) == SYMBOLS_PER_SEGMENT == 4840
         _, deep = decode(model, frame)

@@ -1,4 +1,5 @@
 """CLI behaviour: exit codes, diagnostics, and artifact emission."""
+import hashlib
 import os
 import struct
 import subprocess
@@ -35,6 +36,25 @@ class TestOverheadCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage" in err and "--paper" in err and "--n-f" in err
+
+    @pytest.mark.parametrize("flags", [["--L", "10"], ["--n-t", "5"],
+                                       ["--n-b", "0"], ["--L", "10", "--n-t", "5"]])
+    def test_paper_refuses_custom_counters(self, capsys, flags):
+        # these once went unread: the reference table printed, exit 0
+        assert main(["overhead", "--paper", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --paper")
+        assert captured.err.count("\n") == 1
+
+    def test_custom_ledger_defaults_to_reference_l(self, tmp_path, capsys):
+        target = tmp_path / "table.json"
+        assert main(["overhead", "--n-f", "4", "--json", str(target)]) == 0
+        capsys.readouterr()
+        import json
+        data = json.loads(target.read_text())
+        assert (data["L"], data["N_f"], data["N_t"], data["N_b"]) == (
+            4840, 4, 0, 0)
 
     def test_paper_and_custom_ledger_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -154,6 +174,15 @@ class TestDataAndEval:
         from semcom.weights_io import read_frames
         frames = read_frames(out / "bedroom.semf")
         assert frames.shape[1:] == (112, 112, 3)
+        # the label and posture files' bytes, recorded before the camera
+        # owned the segment grid
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("segment_labels.csv", "postures.csv")}
+        assert digests == {
+            "segment_labels.csv": "dee18c6d6529ca0e5a806cb92c3e7508"
+                                  "004b89f39bb89724e8cdeb197ca6aba5",
+            "postures.csv": "351afbbb09d7d49ffdf4dd118fd6478b"
+                            "d4e6ff6595319bbd7ef9fbbd601f4bfa"}
 
     def test_eval_writes_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -53,7 +53,7 @@ def mean_power(frame):
 
 def random_segment(seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return VideoSegment(0, rng.uniform(0.0, scale, (3, 16, 112, 112)))
+    return VideoSegment(rng.uniform(0.0, scale, (3, 16, 112, 112)))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ class TestSampling:
     def test_segment_layout_and_scaling(self):
         frames = np.zeros((16, 112, 112, 3), dtype=np.uint8)
         frames[:, 1, 2, 0] = 255
-        seg = VideoSegment.from_rgb_frames(0, frames)
+        seg = VideoSegment.from_rgb_frames(frames)
         assert seg.frames.shape == (3, 16, 112, 112)
         assert seg.frames[0, 0, 1, 2] == 1.0
         assert seg.frames[1, 0, 1, 2] == 0.0
@@ -79,7 +79,7 @@ class TestSampling:
             0, 256, (16, 112, 112, 3), dtype=np.uint8)
         frames[0, 0, 0] = (0, 255, 0)
         want = np.transpose(frames.astype(np.float64) / 255.0, (3, 0, 1, 2))
-        got = VideoSegment.from_rgb_frames(0, frames).frames
+        got = VideoSegment.from_rgb_frames(frames).frames
         assert got.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -91,7 +91,7 @@ class TestEncode:
         assert mean_power(frame) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_segment_skips_normalization(self, model):
-        frame = encode(model, VideoSegment(0, np.zeros((3, 16, 112, 112))))
+        frame = encode(model, VideoSegment(np.zeros((3, 16, 112, 112))))
         assert frame.scale == 0.0
         assert mean_power(frame) == 0.0
         assert np.all(frame.symbols == 0)
@@ -163,7 +163,7 @@ class TestEncode:
 
     def test_wrong_shape_rejected(self, model):
         with pytest.raises(ShapeError, match="segment frames must be"):
-            encode(model, VideoSegment(0, np.zeros((3, 8, 112, 112))))
+            encode(model, VideoSegment(np.zeros((3, 8, 112, 112))))
 
 
 class TestDecode:
@@ -389,8 +389,7 @@ class TestEvaluateReuse:
         for snr in self.SNRS:
             for seed in self.NOISE_SEEDS:
                 if cold:
-                    segments = [VideoSegment(s.index, s.frames)
-                                for s in segments]
+                    segments = [VideoSegment(s.frames) for s in segments]
                 accs.append(evaluate(model, segments, labels, snr,
                                      noise_seed=seed))
         return accs
@@ -444,7 +443,7 @@ class TestEvaluateReuse:
         assert self.decoded(monkeypatch, first, *segments) == first_warm
 
     def test_zero_feature_at_finite_snr_rejected(self):
-        segment = VideoSegment(0, np.zeros((3, 16, 112, 112)))
+        segment = VideoSegment(np.zeros((3, 16, 112, 112)))
         model = CodecModel(seed=11)
         assert encode(model, segment).scale == 0.0
         assert evaluate(model, [segment], [0], math.inf) in (0.0, 1.0)
@@ -462,7 +461,7 @@ class TestVideoSegmentImmutable:
 
     def test_caller_array_stays_writeable_and_apart(self):
         frames = np.full((3, 16, 112, 112), 0.5)
-        segment = VideoSegment(0, frames)
+        segment = VideoSegment(frames)
         assert frames.flags.writeable
         frames[...] = 0.25
         assert np.all(segment.frames == 0.5)
@@ -472,20 +471,20 @@ class TestVideoSegmentImmutable:
         frames = np.full((3, 16, 112, 112), 0.5)
         frames[2, 15, 111, 111] = bad
         with pytest.raises(ValueError, match="outside"):
-            VideoSegment(0, frames)
+            VideoSegment(frames)
 
     def test_caller_float_clip_copied(self):
         clip = np.full((16, 112, 112, 3), 0.5)
-        segment = VideoSegment.from_rgb_frames(0, clip)
+        segment = VideoSegment.from_rgb_frames(clip)
         assert not np.shares_memory(segment.frames, clip)
         assert clip.flags.writeable and not segment.frames.flags.writeable
         with pytest.raises(ValueError, match="outside"):
-            VideoSegment.from_rgb_frames(0, clip + 1.0)
+            VideoSegment.from_rgb_frames(clip + 1.0)
 
     def test_uint8_clip_shape_checked(self):
         with pytest.raises(codec.ShapeError):
             VideoSegment.from_rgb_frames(
-                0, np.zeros((15, 112, 112, 3), dtype=np.uint8))
+                np.zeros((15, 112, 112, 3), dtype=np.uint8))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 255), st.integers(0, 255))
@@ -499,7 +498,7 @@ class TestVideoSegmentImmutable:
         want = np.array(np.ascontiguousarray(
             np.transpose(clip, (3, 0, 1, 2))) / 255.0,
             dtype=np.float64, order="C")
-        got = VideoSegment.from_rgb_frames(5, clip).frames
+        got = VideoSegment.from_rgb_frames(clip).frames
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert not got.flags.writeable
         assert not np.shares_memory(got, clip)

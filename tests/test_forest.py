@@ -197,7 +197,7 @@ class TestTraining:
         y = np.full(20, 2, dtype=np.int64)
         forest = train_forest(u, y, n_trees=5, seed=3)
         for tree in forest.trees:
-            assert tree.n_nodes == 1
+            assert tree.threshold.size == 1
             assert tree.predict_class(np.zeros(1)).tolist() == [2]
         assert forest.predict(np.array([123.0])).tolist() == [Posture.STANDING]
 
@@ -210,7 +210,7 @@ class TestTraining:
         u, y = clusters([-0.5, 0.6], 0.05, 25, seed=9)
         forest = train_forest(u, y, n_trees=1, max_depth=1, seed=0)
         tree = forest.trees[0]
-        assert tree.n_nodes == 3
+        assert tree.threshold.size == 3
         # the tree trains on a bootstrap resample; rebuild it for the oracle
         rng = np.random.Generator(np.random.Philox(key=np.uint64(0)))
         idx = rng.integers(0, u.size, u.size)

@@ -147,8 +147,7 @@ def _simulation_internals(seed, scenario):
         return u, postures, clamped
 
     def tagging_segment_at_grid(camera, grid_index):
-        label = camera.segment_label(grid_index)
-        active[0] = label is not None and label[1] == camera.room
+        active[0] = camera.activity_at_grid(grid_index) is not None
         return segment_at_grid(camera, grid_index)
 
     def recording_decode(model, frame, tape=None):

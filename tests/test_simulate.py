@@ -20,15 +20,16 @@ from semcom.accel import (SYMBOLS_PER_FRAME, VALUES_PER_FRAME, GravityFilter,
 from semcom.channel import Channel, SymbolFrame
 from semcom.cli import main as cli_main
 
-from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, Activity, CodecModel,
-                          classify, decode, encode)
+from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT,
+                          Activity, CodecModel, classify, decode, encode)
 from semcom.config import SimConfig, load_config, parse_config_text
 from semcom.controller import AckPolicy, dispatch, format_event
 from semcom.forest import train_forest
 from semcom.simulate import (SimReport, _derived_seed, _settled_mask,
                              posture_stream, run_simulation)
-from semcom.synthdata import (FPS, ROOMS, WALK_SECONDS, RoomCamera,
-                              gen_accel_trace, make_posture_dataset)
+from semcom.synthdata import (ACTIVITY_ROOM, FPS, ROOMS, WALK_SECONDS,
+                              RoomCamera, gen_accel_trace,
+                              make_posture_dataset, step_timeline)
 
 
 # The accel uplink as it ran before blocks, one second per step: the raw
@@ -44,6 +45,16 @@ class UploadRecord:
     predicted: Activity
     truth_activity: object
     truth_room: object
+
+
+def grid_label(scenario, grid):
+    """The (activity, room) that grid segment's first frame shows, or None
+    while walking."""
+    step = step_timeline(scenario)[grid * SEGMENT_FRAMES // FPS]
+    if step < 0:
+        return None
+    activity = scenario.steps[step].activity
+    return activity, ACTIVITY_ROOM[activity]
 
 
 def per_frame_encode_raw(xyz):
@@ -101,7 +112,7 @@ def per_second_simulation(cfg, codec_model, forest):
     video_channel = Channel(cfg.video_snr_db, _derived_seed(cfg.seed, 2))
     gravity = GravityFilter()
     state = INITIAL_STATE
-    ledger = overhead.OverheadLedger(L=overhead.SYMBOLS_PER_FEATURE)
+    ledger = overhead.OverheadLedger(L=SYMBOLS_PER_SEGMENT)
 
     posture_pred = []
     us = []
@@ -134,7 +145,7 @@ def per_second_simulation(cfg, codec_model, forest):
                 segment = camera.segment_at_grid(grid)
                 sent = video_channel.send(encode(codec_model, segment))
                 logits, _ = decode(codec_model, sent)
-                label = camera.segment_label(grid)
+                label = grid_label(scenario, grid)
                 uploads.append(UploadRecord(
                     t=event.t, room=room, grid_index=grid,
                     predicted=classify(logits),
@@ -502,9 +513,8 @@ def decoded_uploads(simulation, cfg, codec_model, forest):
     original_decode = decode
 
     def tagging_segment_at_grid(camera, grid_index):
-        label = camera.segment_label(grid_index)
         upload[:] = [camera.room, grid_index,
-                     label is not None and label[1] == camera.room]
+                     camera.activity_at_grid(grid_index) is not None]
         return segment_at_grid(camera, grid_index)
 
     def recording_decode(model, frame, tape=None):

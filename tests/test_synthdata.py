@@ -128,17 +128,22 @@ class TestStepTimelineOracle:
     @settings(max_examples=60, deadline=None)
     @given(scenarios())
     def test_segment_labels(self, scenario):
+        """The grid is the stream's whole 16-frame segments, each labelled
+        at its first frame's second; lookups outside it raise."""
         want = activity_timeline(scenario)
         for room in ROOMS:
             cam = RoomCamera(scenario, room)
+            n = cam.n_segments
             assert cam.total_frames == len(want) * FPS
-            for grid in range(cam.total_frames // SEGMENT_FRAMES + 2):
-                second = grid * SEGMENT_FRAMES // FPS
-                label = want[second] if second < len(want) else None
-                assert cam.segment_label(grid) == label
+            assert n * SEGMENT_FRAMES <= cam.total_frames < (n + 1) * SEGMENT_FRAMES
+            for grid in range(n):
+                label = want[grid * SEGMENT_FRAMES // FPS]
                 assert cam.activity_at_grid(grid) == (
                     label[0] if label is not None and label[1] == room
                     else None)
+            for grid in (-1, n):
+                with pytest.raises(IndexError):
+                    cam.activity_at_grid(grid)
 
     @settings(max_examples=20, deadline=None)
     @given(scenarios(min_steps=1), st.lists(st.floats(0, 1, exclude_max=True),
@@ -242,18 +247,18 @@ class TestVideoGenerator:
         scenario = Scenario((ScenarioStep(Activity.SLEEPING, 5),
                              ScenarioStep(Activity.EATING, 5)))
         cam = RoomCamera(scenario, "kitchen")
-        assert cam.segment_label(0) == (Activity.SLEEPING, "bedroom")
         # eating starts at second 9 (5 sleep + 4 walk) = frame 450
         grid_eating = (9 * 50) // SEGMENT_FRAMES + 1
-        assert cam.segment_label(grid_eating) == (Activity.EATING, "kitchen")
         walk_grid = (6 * 50) // SEGMENT_FRAMES
-        assert cam.segment_label(walk_grid) is None
+        for room in ROOMS:
+            assert RoomCamera(scenario, room).activity_at_grid(walk_grid) is None
         # the kitchen camera films only its own room's activity
         assert cam.activity_at_grid(0) is None
         assert cam.activity_at_grid(grid_eating) == Activity.EATING
-        assert cam.activity_at_grid(walk_grid) is None
-        assert cam.activity_at_grid(cam.total_frames // SEGMENT_FRAMES + 1) is None
+        with pytest.raises(IndexError):
+            cam.activity_at_grid(cam.total_frames // SEGMENT_FRAMES + 1)
         assert RoomCamera(scenario, "bedroom").activity_at_grid(0) == Activity.SLEEPING
+        assert RoomCamera(scenario, "bedroom").activity_at_grid(grid_eating) is None
 
     def test_codec_dataset_shapes_and_labels(self):
         segments, labels = make_codec_dataset(2, seed=0)
@@ -288,10 +293,10 @@ class TestVideoGenerator:
             cam.segment_at_grid(-1)
 
     def test_negative_grid_label_rejected(self):
-        # -1 used to return the last second's (CALLING, 'living_room')
+        # -1 used to return the last second's CALLING
         cam = RoomCamera(demo_scenario(seed=1, dwell_s=5), "living_room")
         with pytest.raises(IndexError):
-            cam.segment_label(-1)
+            cam.activity_at_grid(-1)
 
 
 def per_second_accel_trace(scenario):

@@ -356,7 +356,7 @@ SLAB_BUDGETS = st.sampled_from([1, 2, 7, 30, 120, tensor._SLAB_COLUMNS])
 
 
 class TestCorrelateOracle:
-    """Each oracle holds on both routes of Conv3d._correlate."""
+    """Each oracle holds on both routes of Conv3d's slab loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SLAB_BUDGETS)
@@ -450,14 +450,14 @@ class TestCorrelateKernel:
     def test_extent_past_the_padded_input_raises(self, extent):
         conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
         xp = conv._pad(np.ones((2, 3, 3, 3)))
-        assert conv._correlate(xp, (3, 3, 3)).shape == (3, 3, 3, 3)
+        conv._slab_loop(xp, (3, 3, 3))
         with pytest.raises(ShapeError, match="reads past the padded input"):
-            conv._correlate(xp, extent)
+            conv._slab_loop(xp, extent)
 
     def test_channel_mismatch_raises(self):
         conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
         with pytest.raises(ShapeError, match="reads past the padded input"):
-            conv._correlate(np.ones((1, 5, 5, 5)), (3, 3, 3))
+            conv._slab_loop(np.ones((1, 5, 5, 5)), (3, 3, 3))
 
 
 class TestConvReLUPool3d:
