@@ -4,7 +4,9 @@ symbol packing and the one noise path of training, evaluation and links.
 Noise power follows sigma^2 = P / 10**(snr_db/10) where P is the measured
 average symbol power of the frame being sent; each quadrature gets
 variance sigma^2/2 so the per-symbol complex noise power is sigma^2. An
-SNR of +inf is noiseless; NaN and -inf are rejected.
+SNR of +inf is noiseless; NaN, -inf and a finite SNR whose linear ratio
+is not a normal float64 (above about 3,082 dB or below about -3,076 dB)
+are rejected.
 
 Gaussians come from Box-Muller over a Philox counter-based uniform stream,
 so a given seed reproduces the same noise on any platform.
@@ -12,6 +14,7 @@ so a given seed reproduces the same noise on any platform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +85,25 @@ def gaussian_noise(n, rng, rows=1):
 
 
 def _philox(seed):
+    """The Philox stream keyed by seed, an integer in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def _noiseless(snr_db):
-    """True at +inf SNR, False at a finite one; NaN and -inf are errors."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
-    return snr_db == math.inf
+    """True at +inf SNR, False at a finite one whose linear ratio
+    10**(snr_db/10) is a normal float64; any other SNR is an error."""
+    if snr_db == math.inf:
+        return True
+    try:
+        ratio = math.pow(10.0, snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio <= sys.float_info.max:
+        raise ValueError(f"SNR must be a number of dB whose linear ratio is a "
+                         f"normal float64, or inf, got {snr_db}")
+    return False
 
 
 def add_noise(symbols, snr_db, rng):

@@ -91,7 +91,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_overhead(args):
-    # the ledger's own defaults fill the counters not given
+    # report's own defaults fill the counts not given
     given = {name: getattr(args, name) for name in ("L", "n_t", "n_b")
              if getattr(args, name) is not None}
     if args.paper:
@@ -99,12 +99,11 @@ def _cmd_overhead(args):
             raise ValueError("--paper takes no --L, --n-t or --n-b")
         rep = overhead.reference_report()
     else:
-        ledger = overhead.OverheadLedger(n_f=args.n_f, **given)
-        rep = overhead.report(ledger, scenario="custom")
-    reduction = overhead.reduction_vs_sc(rep)    # fails before any output
+        rep = overhead.report(args.n_f, scenario="custom", **given)
+    # fails before any output
+    reduction = overhead.format_reduction_percent(overhead.reduction_vs_sc(rep))
     print(overhead.format_table(rep))
-    print(f"HAR-SC-TC vs HAR-SC reduction: "
-          f"{overhead.format_reduction_percent(reduction)}")
+    print(f"HAR-SC-TC vs HAR-SC reduction: {reduction}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(overhead.to_json(rep))

@@ -436,6 +436,9 @@ def load_model(path):
     meta = arrays.get("meta")
     if meta is None or meta.shape != (2,):
         raise weights_io.ContainerFormatError("missing or malformed meta array")
+    if not (0 <= meta[0] < math.inf and meta[0] == math.floor(meta[0])):
+        raise weights_io.ContainerFormatError(
+            f"meta epochs must be a finite integer >= 0, got {meta[0]}")
     model.epochs_trained = int(meta[0])
     model.snr_train_db = float(meta[1])
     return model

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .channel import _noiseless
 from .codec import parse_activity
 from .controller import AckPolicy
 from .synthdata import ROOMS, Scenario, ScenarioStep
@@ -34,9 +35,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("video_snr_db", "accel_snr_db"):
-            value = getattr(self, name)
-            if math.isnan(value) or value == -math.inf:
-                raise ValueError(f"{name} must be a number or inf, got {value}")
+            try:
+                _noiseless(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         for name in ("settle_windows", "accel_noise_g", "pixel_noise",
                      "position_jitter"):
             value = getattr(self, name)

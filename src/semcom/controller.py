@@ -77,11 +77,9 @@ class TransmissionController:
 
     def __init__(self, policy=None):
         self.policy = policy or AckPolicy()
-        self.events = []
 
     def observe(self, postures):
-        """Scan the scenario's per-second posture codes; returns its events
-        and keeps them in ``events``.
+        """The list of events of the scenario's per-second posture codes.
 
         The first window's posture is stable. A maximal run of a posture q
         other than the stable one that lasts at least validation_windows
@@ -89,9 +87,9 @@ class TransmissionController:
         q becomes stable. Other runs fire nothing.
         """
         codes = np.asarray(postures, dtype=np.int64)
-        self.events = []
+        events = []
         if not codes.size:
-            return self.events
+            return events
         vw = self.policy.validation_windows
         starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         lengths = np.diff(starts, append=codes.size)
@@ -99,6 +97,6 @@ class TransmissionController:
         for start, length, code in zip(starts.tolist(), lengths.tolist(),
                                        codes[starts].tolist()):
             if code != stable and length >= vw:
-                self.events.append(ControlEvent(start + vw - 1, stable, code))
+                events.append(ControlEvent(start + vw - 1, stable, code))
                 stable = code
-        return self.events
+        return events

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import Posture
+from .channel import _philox
 from . import weights_io
 
 N_CLASSES = len(Posture)
@@ -168,7 +169,7 @@ def train_forest(u, y, n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
         raise ValueError("features and labels must align")
     if y.min() < 0 or y.max() >= N_CLASSES:
         raise ValueError(f"labels must be in [0, {N_CLASSES})")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     trees = []
     for _ in range(n_trees):
         idx = rng.integers(0, u.size, u.size)
@@ -191,12 +192,43 @@ def forest_to_arrays(forest):
     return arrays
 
 
+def _checked_tree(i, threshold, children, hist):
+    """Tree i from its stored arrays, refusing any that ``predict_class``
+    could not walk: node j's children are either both -1 (a leaf) or both
+    in (j, n), the depth-first numbering ``_grow_tree`` writes, so every
+    walk ends at a leaf."""
+    n = threshold.shape[0] if threshold.ndim == 1 else 0
+    if (n < 1 or children.shape != (2, n)
+            or hist.shape != (n, N_CLASSES)):
+        raise weights_io.ContainerFormatError(
+            f"tree {i} arrays have shapes {threshold.shape}, "
+            f"{children.shape} and {hist.shape}, expected (n,), (2, n) and "
+            f"(n, {N_CLASSES}) with n >= 1")
+    node = np.arange(n)
+    leaf = (children == _NO_CHILD).all(axis=0)
+    inner = ((children > node) & (children < n)
+             & (children == np.floor(children))).all(axis=0)
+    if not (leaf | inner).all():
+        raise weights_io.ContainerFormatError(
+            f"tree {i} has a child link outside its depth-first order")
+    return Tree(threshold, children[0].astype(np.int64),
+                children[1].astype(np.int64), hist)
+
+
 def forest_from_arrays(arrays):
     try:
         meta = arrays["forest.meta"]
     except KeyError:
         raise weights_io.ContainerFormatError("missing forest.meta array") from None
+    if (meta.shape != (4,) or not np.isfinite(meta).all()
+            or (meta != np.floor(meta)).any()):
+        raise weights_io.ContainerFormatError(
+            "forest.meta must hold 4 finite integers")
     n_trees, n_classes, max_depth, seed = (int(v) for v in meta)
+    if n_trees < 1 or n_classes != N_CLASSES or max_depth < 1:
+        raise weights_io.ContainerFormatError(
+            f"forest.meta needs >= 1 tree, {N_CLASSES} classes and "
+            f"max_depth >= 1, got {n_trees}, {n_classes} and {max_depth}")
     trees = []
     for i in range(n_trees):
         try:
@@ -205,10 +237,7 @@ def forest_from_arrays(arrays):
             hist = arrays[f"tree{i}.hist"]
         except KeyError as exc:
             raise weights_io.ContainerFormatError(f"missing arrays for tree {i}") from exc
-        trees.append(Tree(threshold,
-                          children[0].astype(np.int64),
-                          children[1].astype(np.int64),
-                          hist))
+        trees.append(_checked_tree(i, threshold, children, hist))
     return RandomForest(trees, n_classes, max_depth, seed)
 
 

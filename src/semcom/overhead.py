@@ -13,34 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
 
 REFERENCE_L = 4840
 REFERENCE_N_F = 1852
 REFERENCE_N_T = 36
 REFERENCE_N_B = 110 * 1024 * 1024 * 8   # 110 MiB video in bits
 REFERENCE_SNR_GRID = (7.0, 13.0, 19.0, 25.0)
-
-
-@dataclass
-class OverheadLedger:
-    """Running counters for one simulation or scenario.
-
-    L: symbols per video feature frame; n_f: feature frames available;
-    n_t: feature uploads actually commanded; n_b: reference compressed
-    video size in bits; raw_symbols: accelerometer symbols sent.
-    """
-
-    L: int = REFERENCE_L
-    n_f: int = 0
-    n_t: int = 0
-    n_b: int = 0
-    raw_symbols: int = 0
-
-    def validate(self):
-        for name in ("L", "n_f", "n_t", "n_b", "raw_symbols"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"ledger counter {name} is negative")
 
 
 def c_sc(L, n_f):
@@ -64,40 +43,45 @@ def c_mpeg(n_b, gamma_db):
     return n_b / math.log2(1.0 + 10.0 ** (gamma_db / 10.0))
 
 
-def report(ledger, scenario="simulation"):
+def report(n_f, n_t=0, L=REFERENCE_L, n_b=0, raw_symbols=0,
+           scenario="simulation"):
     """Overhead table as a JSON-ready dict.
 
-    MPEG rows, one per REFERENCE_SNR_GRID entry, appear only when the
-    ledger carries a reference video size.
+    L: symbols per video feature frame; n_f: feature frames available;
+    n_t: feature uploads actually commanded; n_b: reference compressed
+    video size in bits; raw_symbols: accelerometer symbols sent. MPEG
+    rows, one per REFERENCE_SNR_GRID entry, appear only when n_b > 0.
     """
-    ledger.validate()
+    for name, value in (("L", L), ("n_f", n_f), ("n_t", n_t), ("n_b", n_b),
+                        ("raw_symbols", raw_symbols)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        if value > sys.float_info.max:
+            raise ValueError(f"{name} is beyond float64's range")
     rows = []
-    if ledger.n_b > 0:
+    if n_b > 0:
         for snr in REFERENCE_SNR_GRID:
             rows.append({
                 "method": "MPEG-4",
                 "snr_db": float(snr),
-                "overhead_symbols": int(round(c_mpeg(ledger.n_b, snr))),
+                "overhead_symbols": int(round(c_mpeg(n_b, snr))),
             })
-    rows.append({"method": "HAR-SC",
-                 "overhead_symbols": c_sc(ledger.L, ledger.n_f)})
-    rows.append({"method": "HAR-SC-TC",
-                 "overhead_symbols": c_tc(ledger.L, ledger.n_t)})
+    rows.append({"method": "HAR-SC", "overhead_symbols": c_sc(L, n_f)})
+    rows.append({"method": "HAR-SC-TC", "overhead_symbols": c_tc(L, n_t)})
     return {
         "scenario": scenario,
-        "L": ledger.L,
-        "N_f": ledger.n_f,
-        "N_t": ledger.n_t,
-        "N_b": ledger.n_b,
-        "raw_symbols": ledger.raw_symbols,
+        "L": L,
+        "N_f": n_f,
+        "N_t": n_t,
+        "N_b": n_b,
+        "raw_symbols": raw_symbols,
         "rows": rows,
     }
 
 
 def reference_report():
     """The overhead table of the reference-scenario constants."""
-    return report(OverheadLedger(L=REFERENCE_L, n_f=REFERENCE_N_F,
-                                 n_t=REFERENCE_N_T, n_b=REFERENCE_N_B),
+    return report(REFERENCE_N_F, REFERENCE_N_T, REFERENCE_L, REFERENCE_N_B,
                   scenario="reference")
 
 
@@ -116,7 +100,11 @@ def format_reduction_percent(reduction):
     The reference table quotes the gated-vs-continuous saving as 98.0%
     while the exact ratio is 98.056%; truncation reproduces that figure.
     """
-    return f"{math.floor(reduction * 1000.0) / 10.0:.1f}%"
+    tenths = reduction * 1000.0
+    if math.isinf(tenths):
+        raise ValueError(f"a reduction of {reduction:g} has no float64 "
+                         f"percentage")
+    return f"{math.floor(tenths) / 10.0:.1f}%"
 
 
 def format_table(rep):

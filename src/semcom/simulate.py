@@ -60,13 +60,26 @@ class SimReport:
     overhead: dict
     posture: dict
     activity_table: dict
-    activity_accuracy: object
-    n_events: int
     uploads: int
     background_uploads: int
     clamped_samples: int
     event_lines: list
     skipped_uploads: int
+
+    @property
+    def n_events(self):
+        return len(self.event_lines)
+
+    @property
+    def activity_accuracy(self):
+        """Correct over all active-room uploads in the activity table, or
+        None when there was none."""
+        cells = [cell for rooms in self.activity_table.values()
+                 for cell in rooms.values()]
+        count = sum(cell["count"] for cell in cells)
+        if not count:
+            return None
+        return sum(cell["correct"] for cell in cells) / count
 
     def to_dict(self):
         out = {
@@ -151,7 +164,6 @@ def run_simulation(cfg, codec_model, forest):
                                  for room in ROOMS} for a in Activity}
     uploads = 0
     background = 0
-    truthed_correct = 0
     skipped = 0
     event_lines = []
     for event in controller.observe(posture_pred):
@@ -180,12 +192,6 @@ def run_simulation(cfg, codec_model, forest):
                 cell["count"] += 1
                 if activity == truth:
                     cell["correct"] += 1
-                    truthed_correct += 1
-
-    ledger = overhead.OverheadLedger(
-        L=SYMBOLS_PER_SEGMENT,
-        n_f=sum(camera.n_segments for camera in cameras.values()),
-        n_t=uploads, raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred))
 
     # posture bookkeeping
     settled = _settled_mask(posture_truth, cfg.settle_windows)
@@ -199,13 +205,13 @@ def run_simulation(cfg, codec_model, forest):
                              if n_settled else None),
     }
 
-    truthed = uploads - background
     return SimReport(
-        overhead=overhead.report(ledger, scenario="simulation"),
+        overhead=overhead.report(
+            sum(camera.n_segments for camera in cameras.values()),
+            n_t=uploads, L=SYMBOLS_PER_SEGMENT,
+            raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred)),
         posture=posture_stats,
         activity_table=table,
-        activity_accuracy=(truthed_correct / truthed) if truthed else None,
-        n_events=len(controller.events),
         uploads=uploads,
         background_uploads=background,
         clamped_samples=clamped,

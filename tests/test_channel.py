@@ -202,17 +202,37 @@ class TestPacking:
 
 
 class TestBadSnr:
-    """NaN and -inf SNRs are errors, not silent noiseless or NaN links."""
+    """NaN, -inf and SNRs whose linear ratio is not a normal float64 are
+    errors, not silent noiseless or NaN links. 1e308 once overflowed in
+    10.0 ** (snr_db / 10.0); -1e308 divided by a zero ratio."""
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1e308, 3083.0,
+                                        -3077.0, -1e308])
     def test_send_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR"):
             Channel(snr_db, 0).send(unit_power_frame(16))
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1e308, 3083.0,
+                                        -3077.0, -1e308])
     def test_skip_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR"):
             Channel(snr_db, 0).skip(16)
+
+    @pytest.mark.parametrize("snr_db", [3082.0, -3076.0])
+    def test_extreme_normal_ratios_send(self, snr_db):
+        noisy = add_noise(unit_power_frame(16).symbols, snr_db, _philox(0))
+        assert np.isfinite(noisy).all()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_out_of_range_rejected(self, seed):
+        # once OverflowError in np.uint64(seed)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            _philox(seed)
+
+    def test_range_ends_accepted(self):
+        assert _philox(0).random() != _philox(2**64 - 1).random()
 
 
 def per_frame_gaussian_noise(n, rng):

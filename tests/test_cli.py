@@ -12,6 +12,32 @@ from semcom.cli import main
 from semcom.codec import ACTIVITY_NAMES, Activity, CodecModel, save_model
 from semcom.synthdata import ROOMS
 
+PAPER_TABLE = """\
+scenario: reference
+L=4840  N_f=1852  N_t=36  N_b=922746880
+method     SNR (dB)   overhead (symbols)
+MPEG-4            7          356,573,829
+MPEG-4           13          210,237,977
+MPEG-4           19          145,780,221
+MPEG-4           25          111,048,888
+HAR-SC            -            8,963,680
+HAR-SC-TC         -              174,240
+HAR-SC-TC vs HAR-SC reduction: 98.0%
+"""
+
+CUSTOM_TABLE = """\
+scenario: custom
+L=4840  N_f=4  N_t=2  N_b=1000
+method     SNR (dB)   overhead (symbols)
+MPEG-4            7                  386
+MPEG-4           13                  228
+MPEG-4           19                  158
+MPEG-4           25                  120
+HAR-SC            -               19,360
+HAR-SC-TC         -                9,680
+HAR-SC-TC vs HAR-SC reduction: 50.0%
+"""
+
 
 class TestOverheadCommand:
     def test_paper_values(self, capsys):
@@ -74,6 +100,40 @@ class TestOverheadCommand:
         import json
         data = json.loads(target.read_text())
         assert data["L"] == 4840
+
+    @pytest.mark.parametrize("flags,table,digest", [
+        (["--paper"], PAPER_TABLE,
+         "15b379e4d9cec08745babc2165de1ae50233e72f4d18b05f5d7191e3a538ded0"),
+        (["--n-f", "4", "--n-t", "2", "--n-b", "1000"], CUSTOM_TABLE,
+         "bc7a8e645bf70c336c88cbd91ef04e9bf15257ba9beaebb1a3ddce9377777ac6"),
+    ], ids=["paper", "custom"])
+    def test_text_and_json_bytes_pinned(self, tmp_path, capsys, flags, table,
+                                        digest):
+        # bytes recorded before report() took its counts as parameters
+        target = tmp_path / "table.json"
+        assert main(["overhead", *flags, "--json", str(target)]) == 0
+        assert capsys.readouterr().out == table + f"wrote {target}\n"
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--n-f", "4", "--n-b", "9" * 400], "n_b"),
+        (["--n-f", "1", "--n-t", "9" * 400], "n_t"),
+    ], ids=["n_b", "n_t"])
+    def test_count_beyond_float64_is_one_line(self, capsys, flags, name):
+        # these once died with OverflowError in c_mpeg / reduction_vs_sc
+        assert main(["overhead", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} is beyond float64's range\n"
+
+    def test_percentage_beyond_float64_is_one_line(self, capsys):
+        # n_t = 10**306 is a float64, but its -1e308 % is not: this once
+        # died with OverflowError in format_reduction_percent
+        assert main(["overhead", "--n-f", "1", "--n-t", str(10**306)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a reduction of -1e+306 has no float64 "
+                                "percentage\n")
 
 
 class TestGradcheckCommand:
@@ -279,6 +339,35 @@ class TestDegenerateArguments:
         self.assert_one_line_error(capsys, "epochs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["1e308", "-1e308"])
+    def test_eval_snr_beyond_float64_ratio(self, tmp_path, capsys, snr):
+        # 1e308 once died with OverflowError in add_noise; -1e308 warned,
+        # then reported an accuracy of non-finite symbols with exit 0
+        model = tmp_path / "codec.semw"
+        save_model(model, CodecModel(seed=1))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", str(model), "--per-class", "1",
+                     "--seeds", "1", f"--snr-test={snr}",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "normal float64")
+        assert not out.exists()
+
+    def test_train_forest_negative_seed(self, tmp_path, capsys):
+        # once OverflowError in np.uint64(-1)
+        out = tmp_path / "forest.semw"
+        assert main(["train-forest", "--per-class", "5", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "seed must be in [0, 2**64)")
+        assert not out.exists()
+
+    def test_train_codec_noise_seed_past_2_64(self, tmp_path, capsys):
+        # the noise stream's seed is --seed + 2 = 2**64
+        out = tmp_path / "codec.semw"
+        assert main(["train-codec", "--per-class", "1", "--epochs", "1",
+                     "--seed", str(2**64 - 2), "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, f"got {2**64}")
+        assert not out.exists()
+
     def test_overhead_zero_symbols_prints_nothing(self, capsys):
         assert main(["overhead", "--L", "0", "--n-f", "4"]) == 1
         captured = capsys.readouterr()
@@ -298,3 +387,50 @@ class TestDegenerateArguments:
         acc = sum(int(forest.predict(np.array([v]))[0]) == int(t)
                   for v, t in zip(u, y))
         assert f"training accuracy {acc / len(u):.3f};" in printed
+
+
+class TestUnusableModelFiles:
+    """Model files SEMW reads but the model cannot use: the commands exit 1
+    with one line instead of a traceback or a hang."""
+
+    @staticmethod
+    def rewrite(path, name, index, value):
+        from semcom.weights_io import read_arrays, write_arrays
+        arrays = read_arrays(path)
+        arrays[name][index] = value
+        write_arrays(path, arrays)
+
+    def test_eval_codec_with_infinite_epochs(self, tmp_path, capsys):
+        model = tmp_path / "codec.semw"
+        save_model(model, CodecModel(seed=1))
+        self.rewrite(model, "meta", 0, np.inf)
+        assert main(["eval", "--model", str(model), "--per-class", "1",
+                     "--seeds", "1", "--out", str(tmp_path / "eval.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: meta epochs") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,index,value,fragment", [
+        ("forest.meta", 2, np.inf, "forest.meta"),
+        ("tree0.children", (0, 0), 99.0, "tree 0"),
+    ], ids=["meta-inf", "child-out-of-range"])
+    def test_simulate_with_unusable_forest(self, tmp_path, capsys, name,
+                                           index, value, fragment):
+        from semcom.forest import save_forest, train_forest
+        from semcom.synthdata import make_posture_dataset
+        save_model(tmp_path / "codec.semw", CodecModel(seed=1))
+        forest = tmp_path / "forest.semw"
+        save_forest(forest, train_forest(*make_posture_dataset(20, seed=0),
+                                         n_trees=2))
+        self.rewrite(forest, name, index, value)
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"scenario = sleeping:8,eating:8\n"
+                          f"codec_model = {tmp_path / 'codec.semw'}\n"
+                          f"forest_model = {forest}\n"
+                          f"out_report = {tmp_path / 'report.json'}\n"
+                          f"out_events = {tmp_path / 'events.log'}\n")
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()

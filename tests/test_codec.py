@@ -556,3 +556,15 @@ class TestPersistence:
         write_arrays(path, arrays)
         with pytest.raises(ContainerFormatError, match="dec.linear.bias"):
             load_model(path)
+
+    @pytest.mark.parametrize("epochs", [np.inf, -1.0, 2.5])
+    def test_meta_epochs_must_be_a_whole_count(self, tmp_path, epochs):
+        # inf epochs once died with OverflowError in int(meta[0])
+        from semcom.weights_io import read_arrays, write_arrays
+        path = tmp_path / "codec.semw"
+        save_model(path, CodecModel(seed=1))
+        arrays = read_arrays(path)
+        arrays["meta"][0] = epochs
+        write_arrays(path, arrays)
+        with pytest.raises(ContainerFormatError, match="epochs"):
+            load_model(path)

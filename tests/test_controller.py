@@ -176,9 +176,11 @@ class TestEventLog:
         seq = np.array([SIT, SIT, STAND, STAND, STAND, STAND, LIE, LIE, LIE],
                        dtype=np.int64)
         events = controller.observe(seq)
-        assert events_key(controller.events) == [(4, SIT, STAND),
-                                                 (8, STAND, LIE)]
-        assert controller.events == events
+        assert events_key(events) == [(4, SIT, STAND), (8, STAND, LIE)]
+        assert not hasattr(controller, "events")
+        # each call returns a fresh list
+        assert controller.observe(seq) == events
+        assert controller.observe(seq) is not events
         # plain ints, as the event log and the report expect
         assert all(type(v) is int for e in events
                    for v in (e.t, e.from_posture, e.to_posture))

@@ -323,6 +323,90 @@ class TestPersistence:
             forest_from_arrays({})
 
 
+def _corrupt_forest_file(tmp_path, corrupt):
+    """A saved two-tree forest whose arrays ``corrupt`` edits in place,
+    rewritten through write_arrays."""
+    from semcom.weights_io import write_arrays
+    u, y = clusters([-0.9, 0.3, 0.7, 0.95], 0.02, 30, seed=10)
+    arrays = forest_to_arrays(train_forest(u, y, n_trees=2, seed=4))
+    assert arrays["tree0.children"].shape[1] >= 3   # the root is inner
+    corrupt(arrays)
+    path = tmp_path / "forest.semw"
+    write_arrays(path, arrays)
+    return path
+
+
+def _set(name, index, value):
+    def corrupt(arrays):
+        arrays[name][index] = value
+    return corrupt
+
+
+def _replace(name, make):
+    def corrupt(arrays):
+        arrays[name] = make(arrays[name])
+    return corrupt
+
+
+class TestUnusableForestFiles:
+    """Files SEMW reads but the forest cannot use fail at load with
+    ContainerFormatError, not later in predict."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("forest.meta", 2, np.inf),     # once OverflowError in int()
+        _set("forest.meta", 0, 1.5),
+        _set("forest.meta", 0, 0.0),
+        _set("forest.meta", 1, 3.0),
+        _set("forest.meta", 2, 0.0),
+        _replace("forest.meta", lambda meta: meta[:3]),
+    ], ids=["inf", "fractional", "no-trees", "classes", "depth", "length"])
+    def test_bad_meta(self, tmp_path, corrupt):
+        from semcom.weights_io import ContainerFormatError
+        path = _corrupt_forest_file(tmp_path, corrupt)
+        with pytest.raises(ContainerFormatError, match="forest.meta"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        _replace("tree0.threshold", lambda a: a[None, :]),
+        _replace("tree0.children", lambda a: a[:, :-1]),
+        _replace("tree0.children", lambda a: np.vstack([a, a[:1]])),
+        _replace("tree0.hist", lambda a: a[:, :-1]),
+        _replace("tree1.hist", lambda a: a[:-1]),
+    ], ids=["threshold-rank", "children-count", "children-rows",
+            "hist-classes", "hist-nodes"])
+    def test_bad_shapes(self, tmp_path, corrupt):
+        from semcom.weights_io import ContainerFormatError
+        path = _corrupt_forest_file(tmp_path, corrupt)
+        with pytest.raises(ContainerFormatError, match="shapes"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("tree0.children", (0, 0), 99.0),   # once IndexError in predict
+        _set("tree0.children", (0, 0), 0.0),    # once a predict that hung
+        _set("tree0.children", (1, 0), -1.0),
+        _set("tree0.children", (0, 0), 1.5),
+        _set("tree0.children", (0, -1), 1.0),
+        _set("tree0.children", (1, 1), 0.0),
+    ], ids=["out-of-range", "self-loop", "half-leaf", "fractional",
+            "leaf-with-child", "back-edge"])
+    def test_bad_child_links(self, tmp_path, corrupt):
+        from semcom.weights_io import ContainerFormatError
+        path = _corrupt_forest_file(tmp_path, corrupt)
+        with pytest.raises(ContainerFormatError, match="tree 0"):
+            load_forest(path)
+
+    def test_tree_without_nodes(self):
+        # SEMW files cannot hold an empty array; in-memory arrays can
+        from semcom.weights_io import ContainerFormatError
+        u, y = clusters([-0.5, 0.5], 0.05, 15, seed=11)
+        arrays = forest_to_arrays(train_forest(u, y, n_trees=1, seed=2))
+        arrays["tree0.threshold"] = np.empty(0)
+        arrays["tree0.children"] = np.empty((2, 0))
+        arrays["tree0.hist"] = np.empty((0, N_CLASSES))
+        with pytest.raises(ContainerFormatError, match="n >= 1"):
+            forest_from_arrays(arrays)
+
+
 def scalar_predict_class(tree, u):
     """Tree.predict_class as it was before it took arrays, kept verbatim as
     the oracle: one node at a time."""

@@ -1,13 +1,17 @@
 """Overhead-formula tests against the reference-scenario constants."""
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom.overhead import (REFERENCE_L, REFERENCE_N_B, REFERENCE_N_F,
-                             REFERENCE_N_T, OverheadLedger,
+                             REFERENCE_N_T, REFERENCE_SNR_GRID,
                              c_mpeg, c_sc, c_tc, format_reduction_percent,
                              format_table, reduction_vs_sc, reference_report,
                              report)
+
+COUNTS = ("L", "n_f", "n_t", "n_b", "raw_symbols")
 
 MPEG_EXPECTED = {
     7.0: 356_573_829,
@@ -79,24 +83,50 @@ class TestReport:
         assert by_method[("HAR-SC-TC", None)] == 174_240
 
     def test_empty_ledger_all_zero(self):
-        rep = report(OverheadLedger(L=0), scenario="empty")
+        rep = report(0, L=0, scenario="empty")
         values = [row["overhead_symbols"] for row in rep["rows"]]
         assert values == [0, 0]       # no MPEG rows without a reference size
 
     def test_mpeg_rows_only_with_reference_bits(self):
-        rep = report(OverheadLedger(L=10, n_f=2, n_t=1))
+        rep = report(2, n_t=1, L=10)
         assert [row["method"] for row in rep["rows"]] == ["HAR-SC", "HAR-SC-TC"]
 
     def test_tc_never_exceeds_sc_when_nt_bounded(self):
-        ledger = OverheadLedger(L=4840, n_f=100, n_t=40)
-        rep = report(ledger)
+        rep = report(100, n_t=40, L=4840)
         by_method = {row["method"]: row["overhead_symbols"] for row in rep["rows"]}
         assert by_method["HAR-SC-TC"] <= by_method["HAR-SC"]
 
     def test_negative_counter_rejected(self):
-        ledger = OverheadLedger(n_f=-1)
-        with pytest.raises(ValueError, match="negative"):
-            report(ledger)
+        for name in COUNTS:
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+                report(**{"n_f": 0, name: -1})
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_count_beyond_float64_rejected(self, name):
+        # 10**400 once overflowed in c_mpeg (n_b) or reduction_vs_sc (n_t)
+        with pytest.raises(ValueError, match=f"^{name} is beyond float64"):
+            report(**{"n_f": 1, name: 10**400})
+
+    def test_largest_float64_count_accepted(self):
+        top = int(sys.float_info.max)
+        rep = report(1, n_t=top, n_b=top)
+        assert rep["N_t"] == top
+        assert reduction_vs_sc(rep) == pytest.approx(-sys.float_info.max)
+
+    @settings(max_examples=200)
+    @given(st.fixed_dictionaries(
+        {name: st.integers(0, 10**12) for name in COUNTS}),
+        st.sampled_from(COUNTS))
+    def test_rows_are_the_formulas(self, counts, negative):
+        rep = report(**counts)
+        want = [c_mpeg(counts["n_b"], snr) for snr in REFERENCE_SNR_GRID
+                if counts["n_b"] > 0]
+        want = [int(round(v)) for v in want] + [
+            c_sc(counts["L"], counts["n_f"]), c_tc(counts["L"], counts["n_t"])]
+        assert [row["overhead_symbols"] for row in rep["rows"]] == want
+        counts[negative] = -1 - counts[negative]
+        with pytest.raises(ValueError, match=f"^{negative} must be >= 0"):
+            report(**counts)
 
     def test_format_table_contains_values(self):
         text = format_table(reference_report())
