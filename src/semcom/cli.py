@@ -34,8 +34,9 @@ def _cmd_gen_data(args):
         fh.write("room,segment,activity\n")
         for room in synthdata.ROOMS:
             camera = synthdata.RoomCamera(scenario, room)
-            weights_io.write_frames(os.path.join(args.out, f"{room}.semf"),
-                                    camera.frames(0, camera.total_frames))
+            weights_io.write_frames(
+                os.path.join(args.out, f"{room}.semf"),
+                (camera.frame(i) for i in range(camera.total_frames)))
             for g in range(camera.n_segments):
                 activity = camera.activity_at_grid(g)
                 name = ("none" if activity is None

@@ -12,19 +12,20 @@ postures through POSTURE_NAMES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .accel import POSTURE_NAMES
+from .synthdata import ROOMS, grid_at_second
 
 
 @dataclass(frozen=True)
 class AckPolicy:
-    """validation_windows >= 1; targets None means broadcast to all cameras."""
+    """validation_windows >= 1; targets are the rooms each ACK commands,
+    each named once (default: broadcast to every room)."""
 
     validation_windows: int = 3
-    targets: Optional[tuple] = None
+    targets: tuple = ROOMS
     segments_per_ack: int = 1
 
     def __post_init__(self):
@@ -34,42 +35,41 @@ class AckPolicy:
         if self.segments_per_ack < 1:
             raise ValueError(
                 f"segments_per_ack must be >= 1, got {self.segments_per_ack}")
+        if not self.targets:
+            raise ValueError("ack_targets names no room")
+        for i, room in enumerate(self.targets):
+            if room not in ROOMS:
+                raise ValueError(f"ack_targets: unknown room {room!r} "
+                                 f"(rooms: {', '.join(ROOMS)})")
+            if room in self.targets[:i]:
+                raise ValueError(f"ack_targets: room {room!r} is named twice")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlEvent:
-    """A validated postural transition and the positive ACK it triggers."""
+    """A validated postural transition, which triggers a positive ACK."""
 
     t: int
     from_posture: int
     to_posture: int
-    targets: tuple = ()
 
 
-def dispatch(event, policy, cameras):
-    """The cameras an ACK commands to upload, also recorded on the event.
-
-    Broadcast policies target every camera; subset policies must name
-    known cameras.
-    """
-    cameras = tuple(cameras)
-    if policy.targets is None:
-        targets = cameras
-    else:
-        unknown = [t for t in policy.targets if t not in cameras]
-        if unknown:
-            raise ValueError(f"unknown camera id(s): {unknown}")
-        targets = tuple(policy.targets)
-    event.targets = targets
-    return targets
+def dispatch(event, policy):
+    """The (room, grid) uploads an ACK commands: each target room in policy
+    order uploads segments_per_ack grid segments from the one that holds
+    the ACK second's first frame on."""
+    first = grid_at_second(event.t)
+    grids = range(first, first + policy.segments_per_ack)
+    return [(room, grid) for room in policy.targets for grid in grids]
 
 
-def format_event(event):
-    """One event-log line: ACK t=<idx> from=<p> to=<p> targets=<list>."""
-    return (f"ACK t={event.t}"
-            f" from={POSTURE_NAMES[event.from_posture]}"
-            f" to={POSTURE_NAMES[event.to_posture]}"
-            f" targets={','.join(event.targets)}")
+def format_event(event, targets):
+    """One event-log line: "ACK" and key=value fields for t, from, to
+    (posture names) and targets (comma-separated rooms)."""
+    fields = (("t", event.t), ("from", POSTURE_NAMES[event.from_posture]),
+              ("to", POSTURE_NAMES[event.to_posture]),
+              ("targets", ",".join(targets)))
+    return "ACK " + " ".join(f"{key}={value}" for key, value in fields)
 
 
 class TransmissionController:

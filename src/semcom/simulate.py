@@ -14,7 +14,7 @@ per-second results are bitwise those of one-second steps. The predicted
 postures fill one int64 code array, the same kind as the ground truth
 that ``gen_accel_trace`` reads from the scenario's step timeline; the
 controller then reads that array in one call and returns its ACKs. Each
-ACK resolves its target cameras, and each target uploads
+ACK's plan (``dispatch``) has each target room upload
 ``segments_per_ack`` segments of its stride-16 grid from the ACK
 second's one (``grid_at_second``) on; the ledger bills each upload as N_t
 at the codec's L (ACKs with overlapping segments upload a segment again,
@@ -26,12 +26,12 @@ An active-room upload (the room films its own activity in that segment)
 is rendered, encoded, sent through the video channel and decoded, and
 its classification goes into the Table-3-style activity matrix. An
 idle-room upload (walking, or the activity is in another room) films
-background, which has no activity label: it is counted in
-``background_uploads`` and takes the video channel's draws for one
-feature frame, so every later upload gets the noise it would get if the
-clip had been sent, but it is not rendered, encoded or decoded. So the
-channel's all-zero-frame error at finite SNR can come only from an
-active-room upload.
+background, which has no activity label: it is billed but not in the
+table (the report derives ``background_uploads`` from the two), and it
+takes the video channel's draws for one feature frame, so every later
+upload gets the noise it would get if the clip had been sent, but it is
+not rendered, encoded or decoded. So the channel's all-zero-frame error
+at finite SNR can come only from an active-room upload.
 
 Posture accuracy is reported both raw and over "settled" windows, i.e.
 excluding a configurable margin after each ground-truth posture change
@@ -52,7 +52,7 @@ from .codec import (SYMBOLS_PER_SEGMENT, Activity, ACTIVITY_NAMES, classify,
                     decode, encode)
 from .controller import (AckPolicy, TransmissionController, dispatch,
                          format_event)
-from .synthdata import ROOMS, RoomCamera, gen_accel_trace, grid_at_second
+from .synthdata import ROOMS, RoomCamera, gen_accel_trace
 
 
 @dataclass
@@ -60,8 +60,6 @@ class SimReport:
     overhead: dict
     posture: dict
     activity_table: dict
-    uploads: int
-    background_uploads: int
     clamped_samples: int
     event_lines: list
     skipped_uploads: int
@@ -71,15 +69,28 @@ class SimReport:
         return len(self.event_lines)
 
     @property
+    def uploads(self):
+        """The billed uploads: N_t."""
+        return self.overhead["N_t"]
+
+    def _table_sums(self):
+        """(summed count, summed correct) of the activity table."""
+        cells = [cell for rooms in self.activity_table.values()
+                 for cell in rooms.values()]
+        return (sum(cell["count"] for cell in cells),
+                sum(cell["correct"] for cell in cells))
+
+    @property
+    def background_uploads(self):
+        """The billed uploads that are not in the activity table."""
+        return self.uploads - self._table_sums()[0]
+
+    @property
     def activity_accuracy(self):
         """Correct over all active-room uploads in the activity table, or
         None when there was none."""
-        cells = [cell for rooms in self.activity_table.values()
-                 for cell in rooms.values()]
-        count = sum(cell["count"] for cell in cells)
-        if not count:
-            return None
-        return sum(cell["correct"] for cell in cells) / count
+        count, correct = self._table_sums()
+        return correct / count if count else None
 
     def to_dict(self):
         out = {
@@ -108,7 +119,7 @@ ACCEL_BLOCK_S = 256
 
 
 def _derived_seed(master, tag):
-    return int(np.random.SeedSequence([master & 0xFFFFFFFF, tag]).generate_state(1)[0])
+    return int(np.random.SeedSequence([master, tag]).generate_state(1)[0])
 
 
 def _settled_mask(truth, settle_windows):
@@ -163,35 +174,30 @@ def run_simulation(cfg, codec_model, forest):
     table = {ACTIVITY_NAMES[a]: {room: {"count": 0, "correct": 0}
                                  for room in ROOMS} for a in Activity}
     uploads = 0
-    background = 0
     skipped = 0
     event_lines = []
     for event in controller.observe(posture_pred):
-        targets = dispatch(event, policy, ROOMS)
-        event_lines.append(format_event(event))
-        base_grid = grid_at_second(event.t)
-        for room in targets:
+        event_lines.append(format_event(event, policy.targets))
+        for room, grid in dispatch(event, policy):
             camera = cameras[room]
-            for grid in range(base_grid, base_grid + policy.segments_per_ack):
-                if grid >= camera.n_segments:
-                    skipped += 1
-                    continue
-                uploads += 1
-                truth = camera.activity_at_grid(grid)
-                if truth is None:
-                    # nothing reads a background clip's class: take its
-                    # channel draws so later uploads keep their noise
-                    background += 1
-                    video_channel.skip(SYMBOLS_PER_SEGMENT)
-                    continue
-                segment = camera.segment_at_grid(grid)
-                sent = video_channel.send(encode(codec_model, segment))
-                logits, _ = decode(codec_model, sent)
-                activity = classify(logits)
-                cell = table[ACTIVITY_NAMES[activity]][room]
-                cell["count"] += 1
-                if activity == truth:
-                    cell["correct"] += 1
+            if grid >= camera.n_segments:
+                skipped += 1
+                continue
+            uploads += 1
+            truth = camera.activity_at_grid(grid)
+            if truth is None:
+                # nothing reads a background clip's class: take its
+                # channel draws so later uploads keep their noise
+                video_channel.skip(SYMBOLS_PER_SEGMENT)
+                continue
+            segment = camera.segment_at_grid(grid)
+            sent = video_channel.send(encode(codec_model, segment))
+            logits, _ = decode(codec_model, sent)
+            activity = classify(logits)
+            cell = table[ACTIVITY_NAMES[activity]][room]
+            cell["count"] += 1
+            if activity == truth:
+                cell["correct"] += 1
 
     # posture bookkeeping
     settled = _settled_mask(posture_truth, cfg.settle_windows)
@@ -212,8 +218,6 @@ def run_simulation(cfg, codec_model, forest):
             raw_symbols=SYMBOLS_PER_FRAME * len(posture_pred)),
         posture=posture_stats,
         activity_table=table,
-        uploads=uploads,
-        background_uploads=background,
         clamped_samples=clamped,
         event_lines=event_lines,
         skipped_uploads=skipped,

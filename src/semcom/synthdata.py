@@ -123,6 +123,8 @@ class Scenario:
     position_jitter: int = 4
 
     def validate(self, min_duration_s=3):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.steps:
             raise ValueError("scenario needs at least one step")
         for i, step in enumerate(self.steps):
@@ -136,8 +138,11 @@ class Scenario:
 
 
 def _rng(*key):
-    seq = np.random.SeedSequence([int(k) & 0xFFFFFFFF for k in key])
-    return np.random.Generator(np.random.Philox(seq))
+    """A Philox generator keyed by integers >= 0, each used whole."""
+    key = [int(k) for k in key]
+    if min(key) < 0:
+        raise ValueError(f"seed must be >= 0, got {min(key)}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def demo_scenario(seed=0, dwell_s=20):

@@ -609,7 +609,8 @@ def grad_check(network, x, one_hot, epsilon=1e-5):
 
     Relative error per parameter element is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Runs two
-    forward passes per parameter element, so keep the network tiny.
+    forward passes per parameter element, so keep the network tiny. A step
+    at which the loss is not finite raises ValueError.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -621,8 +622,12 @@ def grad_check(network, x, one_hot, epsilon=1e-5):
     grads = network.grads(tape)
 
     def loss_at():
-        out = network.forward(x)
-        return softmax_cross_entropy(out, one_hot)[0]
+        # a step so large that the loss overflows is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = softmax_cross_entropy(network.forward(x), one_hot)[0]
+        if not np.isfinite(loss):
+            raise ValueError(f"loss is not finite at a step of {epsilon}")
+        return loss
 
     worst = 0.0
     for p, g in zip(params, grads):
@@ -630,11 +635,13 @@ def grad_check(network, x, one_hot, epsilon=1e-5):
         flat_g = g.reshape(-1)
         for i in range(flat_p.size):
             saved = flat_p[i]
-            flat_p[i] = saved + epsilon
-            loss_plus = loss_at()
-            flat_p[i] = saved - epsilon
-            loss_minus = loss_at()
-            flat_p[i] = saved
+            try:
+                flat_p[i] = saved + epsilon
+                loss_plus = loss_at()
+                flat_p[i] = saved - epsilon
+                loss_minus = loss_at()
+            finally:
+                flat_p[i] = saved
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             denom = max(abs(flat_g[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(flat_g[i] - numeric) / denom)

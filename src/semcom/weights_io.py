@@ -127,15 +127,32 @@ def read_arrays(path):
 
 
 def write_frames(path, frames):
-    """Write (N, H, W, 3) uint8 RGB frames as a SEMF file."""
-    frames = np.asarray(frames)
-    if frames.ndim != 4 or frames.shape[3] != 3 or frames.dtype != np.uint8:
-        raise ValueError(f"frames must be (N,H,W,3) uint8, got {frames.shape} {frames.dtype}")
-    n, h, w, _ = frames.shape
-    with open(path, "wb") as fh:
-        fh.write(SEMF_MAGIC)
-        fh.write(struct.pack("<IIHH", SEMF_VERSION, n, h, w))
-        fh.write(np.ascontiguousarray(frames).tobytes())
+    """Write (H, W, 3) uint8 RGB frames as a SEMF file, each as the
+    iterable yields it (an (N, H, W, 3) array yields its frames), so only
+    one frame is held at a time. The header's count and size are written
+    last. A refused frame leaves no file behind."""
+    n, shape = 0, None
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(SEMF_MAGIC + struct.pack("<IIHH", SEMF_VERSION, 0, 0, 0))
+            for frame in frames:
+                frame = np.asarray(frame)
+                if (frame.ndim != 3 or frame.shape[2] != 3
+                        or frame.dtype != np.uint8
+                        or shape not in (None, frame.shape)):
+                    raise ValueError(
+                        f"frame {n} is {frame.shape} {frame.dtype}; frames "
+                        f"must be (H,W,3) uint8, all of one size")
+                shape = frame.shape
+                fh.write(np.ascontiguousarray(frame).tobytes())
+                n += 1
+            h, w = shape[:2] if shape else (0, 0)
+            fh.seek(len(SEMF_MAGIC) + 4)
+            fh.write(struct.pack("<IHH", n, h, w))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def read_frames(path):

@@ -1,14 +1,21 @@
 """CLI behaviour: exit codes, diagnostics, and artifact emission."""
+import argparse
 import hashlib
+import io
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from semcom.cli import main
+from semcom.cli import build_parser, main
 from semcom.codec import ACTIVITY_NAMES, Activity, CodecModel, save_model
 from semcom.synthdata import ROOMS
 
@@ -154,6 +161,19 @@ class TestGradcheckCommand:
         assert captured.err.count("\n") == 1
 
 
+    def test_default_step_reading_pinned(self, capsys):
+        assert main(["gradcheck", "--seed", "7", "--epsilon", "1e-5"]) == 0
+        assert capsys.readouterr().out == (
+            "max relative gradient error: 5.537e-09\n")
+
+    def test_overflowing_step_is_one_line(self, capsys):
+        # once three numpy RuntimeWarnings on stderr, then an error of 1.0
+        assert main(["gradcheck", "--epsilon", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: loss is not finite at a step of 1e+308\n"
+
+
 class TestArgparseBehaviour:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -243,6 +263,16 @@ class TestDataAndEval:
                                   "004b89f39bb89724e8cdeb197ca6aba5",
             "postures.csv": "351afbbb09d7d49ffdf4dd118fd6478b"
                             "d4e6ff6595319bbd7ef9fbbd601f4bfa"}
+        # each SEMF stream's bytes, recorded before gen-data streamed them
+        semf = {room: hashlib.sha256((out / f"{room}.semf").read_bytes())
+                .hexdigest() for room in ROOMS}
+        assert semf == {
+            "bedroom": "aad9520c332e90a865e1643e9b02056d"
+                       "7a1826a05ffeb76393b9a7cc759cc835",
+            "living_room": "fb40d2f62fd5b34103da2e7659af1080"
+                           "e34cc4c0568f9f659f9d4029e68ab991",
+            "kitchen": "0ea439cdfbb396e066aa56477c458eb0"
+                       "901c963c486a6971270e2d8af2b9922d"}
 
     def test_eval_writes_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -368,6 +398,31 @@ class TestDegenerateArguments:
         self.assert_one_line_error(capsys, f"got {2**64}")
         assert not out.exists()
 
+    def test_gen_data_negative_seed(self, tmp_path, capsys):
+        # once masked to 32 bits: seed -1 wrote seed 2**32 - 1's data
+        out = tmp_path / "data"
+        assert main(["gen-data", "--seed", "-1", "--dwell", "3",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
+    def test_train_codec_negative_data_seed(self, tmp_path, capsys):
+        out = tmp_path / "codec.semw"
+        assert main(["train-codec", "--per-class", "1", "--epochs", "1",
+                     "--data-seed", "-1", "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
+    def test_eval_negative_data_seed(self, tmp_path, capsys):
+        model = tmp_path / "codec.semw"
+        save_model(model, CodecModel(seed=1))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", str(model), "--per-class", "1",
+                     "--seeds", "1", "--snr-test", "25", "--data-seed", "-1",
+                     "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_overhead_zero_symbols_prints_nothing(self, capsys):
         assert main(["overhead", "--L", "0", "--n-f", "4"]) == 1
         captured = capsys.readouterr()
@@ -434,3 +489,100 @@ class TestUnusableModelFiles:
         assert captured.err.startswith("error: ") and fragment in captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
+
+
+
+# a valid value of each numeric option of the fast commands; None marks an
+# option that sizes work, drawn only from SIZES, never huge
+VALID = {
+    "overhead": {"--n-f": "4", "--L": "10", "--n-t": "2", "--n-b": "1000"},
+    "gradcheck": {"--seed": "7", "--epsilon": "1e-5"},
+    "train-forest": {"--seed": "3", "--data-seed": "5", "--per-class": None,
+                     "--trees": None, "--max-depth": None},
+}
+ARTIFACT = {"overhead": ["--json", "table.json"],
+            "train-forest": ["--out", "forest.semw"]}
+SIZES = st.sampled_from(["0", "-1", "1", "2"])
+HUGE = {int: "1" + "0" * 400, float: "1e308"}
+
+
+def numeric_options(command):
+    """{flag: type} of the command's int and float options."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.option_strings[0]: action.type
+            for action in subparsers.choices[command]._actions
+            if action.type in (int, float)}
+
+
+def parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def fast_commands(draw):
+    """(argv, whether argparse can parse every value, artifact file or None
+    for stdout) of an overhead, gradcheck or train-forest run whose numeric
+    options are drawn from {0, -1, nan, +-inf, huge, valid}."""
+    command = draw(st.sampled_from(sorted(VALID)))
+    types = numeric_options(command)
+    values = {flag: draw(SIZES if valid is None else st.sampled_from(
+                  ["0", "-1", "nan", "inf", "-inf", HUGE[types[flag]], valid]))
+              for flag, valid in VALID[command].items()}
+    argv = [command, *ARTIFACT.get(command, []),
+            *(f"{flag}={value}" for flag, value in values.items())]
+    parsable = all(parses(types[flag], value) for flag, value in values.items())
+    return argv, parsable, ARTIFACT.get(command, [None, None])[1]
+
+
+class TestNumericOptionsProperty:
+    """Every numeric option of the fast commands, drawn from {0, -1, nan,
+    +-inf, huge, valid}: a run exits 0 with a non-empty artifact and no
+    nan on stdout, or exits 1 with exactly one stderr line and no
+    artifact, or is argparse's own exit 2 for text its type cannot parse.
+    No run prints a traceback or a numpy warning (the suite also makes
+    RuntimeWarnings errors)."""
+
+    def test_draws_cover_every_numeric_option(self):
+        assert {command: set(numeric_options(command)) for command in VALID} \
+            == {command: set(flags) for command, flags in VALID.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(fast_commands())
+    # once three numpy RuntimeWarnings, then exit 0
+    @example((["gradcheck", "--seed=7", "--epsilon=1e308"], True, None))
+    @example((["overhead", "--json", "table.json", "--n-f=4", "--L=10",
+               "--n-t=2", "--n-b=1000"], True, "table.json"))
+    @example((["train-forest", "--out", "forest.semw", "--seed=3",
+               f"--data-seed={HUGE[int]}", "--per-class=2", "--trees=2",
+               "--max-depth=2"], True, "forest.semw"))
+    def test_each_run_ends_one_of_three_ways(self, case):
+        argv, parsable, artifact = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            old = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                written = (os.path.getsize(artifact)
+                           if artifact and os.path.exists(artifact) else None)
+            finally:
+                os.chdir(old)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err and "Warning" not in err
+        if not parsable:
+            assert code == 2 and "invalid" in err
+        elif code == 0:
+            assert (written if artifact else len(out)) > 0
+            assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+        else:
+            assert code == 1 and out == "" and written is None
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -11,6 +11,7 @@ from per_second_controller import INITIAL_STATE, fold_events, step
 from semcom.accel import Posture
 from semcom.controller import (AckPolicy, ControlEvent,
                                TransmissionController, dispatch, format_event)
+from semcom.synthdata import ROOMS
 
 SIT = Posture.SITTING
 STAND = Posture.STANDING
@@ -123,40 +124,45 @@ class TestOracleAgreement:
 
 class TestDispatch:
     def test_broadcast_fans_out(self):
-        event = ControlEvent(5, SIT, STAND)
-        targets = dispatch(event, AckPolicy(),
-                           ("bedroom", "living_room", "kitchen"))
-        assert targets == ("bedroom", "living_room", "kitchen")
-        assert event.targets == targets
+        plan = dispatch(ControlEvent(5, SIT, STAND), AckPolicy())
+        assert AckPolicy().targets == ROOMS
+        # second 5's first frame is frame 250, in grid segment 15
+        assert plan == [(room, 15) for room in ROOMS]
 
     def test_subset_single_camera(self):
-        event = ControlEvent(2, SIT, STAND)
-        targets = dispatch(event, AckPolicy(targets=("kitchen",)),
-                           ("bedroom", "living_room", "kitchen"))
-        assert targets == ("kitchen",)
-        assert event.targets == targets
+        plan = dispatch(ControlEvent(2, SIT, STAND),
+                        AckPolicy(targets=("kitchen",)))
+        assert plan == [("kitchen", 6)]
 
     def test_unknown_camera_rejected(self):
-        event = ControlEvent(2, SIT, STAND)
-        with pytest.raises(ValueError, match="unknown camera"):
-            dispatch(event, AckPolicy(targets=("garage",)),
-                     ("bedroom", "kitchen"))
+        # the policy refuses it when built, before any ACK
+        with pytest.raises(ValueError, match="unknown room 'garage'"):
+            AckPolicy(targets=("kitchen", "garage"))
+
+    @pytest.mark.parametrize("targets", [("bedroom", "bedroom"),
+                                         ("kitchen", "bedroom", "kitchen")])
+    def test_room_named_twice_rejected(self, targets):
+        with pytest.raises(ValueError, match="is named twice") as exc:
+            AckPolicy(targets=targets)
+        assert "\n" not in str(exc.value)
+        assert repr(targets[-1]) in str(exc.value)
+
+    def test_no_room_rejected(self):
+        with pytest.raises(ValueError, match="names no room"):
+            AckPolicy(targets=())
 
     def test_twelve_transitions_broadcast_gives_36(self):
         policy = AckPolicy()
-        commanded = sum(
-            len(dispatch(ControlEvent(i, SIT, STAND), policy,
-                         ("bedroom", "living_room", "kitchen")))
-            * policy.segments_per_ack for i in range(12))
+        commanded = sum(len(dispatch(ControlEvent(i, SIT, STAND), policy))
+                        for i in range(12))
         assert commanded == 36
 
     def test_segments_per_ack(self):
-        # the policy's segment count leaves the targets alone: each target
-        # uploads segments_per_ack segments
-        policy = AckPolicy(segments_per_ack=2)
-        targets = dispatch(ControlEvent(0, SIT, STAND), policy, ("a", "b"))
-        assert targets == ("a", "b")
-        assert len(targets) * policy.segments_per_ack == 4
+        # room by room, each target's run of segments_per_ack grid segments
+        # from the ACK second's one
+        policy = AckPolicy(targets=("kitchen", "bedroom"), segments_per_ack=2)
+        assert dispatch(ControlEvent(0, SIT, STAND), policy) == [
+            ("kitchen", 0), ("kitchen", 1), ("bedroom", 0), ("bedroom", 1)]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -167,9 +173,13 @@ class TestDispatch:
 
 class TestEventLog:
     def test_format(self):
-        event = ControlEvent(7, SIT, STAND, targets=("bedroom", "kitchen"))
-        assert format_event(event) == (
+        event = ControlEvent(7, SIT, STAND)
+        assert format_event(event, ("bedroom", "kitchen")) == (
             "ACK t=7 from=sitting to=standing targets=bedroom,kitchen")
+
+    def test_event_is_frozen(self):
+        with pytest.raises(AttributeError):
+            ControlEvent(7, SIT, STAND).t = 8
 
     def test_controller_wrapper_collects_events(self):
         controller = TransmissionController(AckPolicy())

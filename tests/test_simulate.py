@@ -23,7 +23,7 @@ from semcom.cli import main as cli_main
 from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT,
                           Activity, CodecModel, classify, decode, encode)
 from semcom.config import SimConfig, load_config, parse_config_text
-from semcom.controller import AckPolicy, dispatch, format_event
+from semcom.controller import AckPolicy, format_event
 from semcom.forest import train_forest
 from semcom.simulate import (SimReport, _derived_seed, _settled_mask,
                              posture_stream, run_simulation)
@@ -131,9 +131,9 @@ def per_second_simulation(cfg, codec_model, forest):
         state, event = step(state, predicted, sec, policy)
         if event is None:
             continue
-        targets = dispatch(event, policy, ROOMS)
-        event_lines.append(format_event(event))
-        for room in targets:
+        # the ACK's room x grid plan, formed here rather than by dispatch
+        event_lines.append(format_event(event, policy.targets))
+        for room in policy.targets:
             base_grid = (event.t * FPS) // SEGMENT_FRAMES
             camera = cameras[room]
             n_t += policy.segments_per_ack
@@ -191,13 +191,14 @@ def per_second_simulation(cfg, codec_model, forest):
                                  raw_symbols=raw_symbols),
         posture=posture_stats,
         activity_table=table,
-        uploads=len(uploads),
-        background_uploads=background,
         clamped_samples=clamped,
         event_lines=event_lines,
         skipped_uploads=skipped,
     )
-    # the report derives its accuracy from the table this loop filled
+    # the report derives its upload counts and accuracy from the ledger and
+    # the table this loop filled
+    assert report.uploads == len(uploads)
+    assert report.background_uploads == background
     assert report.activity_accuracy == (
         truthed_correct / truthed if truthed else None)
     return us, posture_pred, report
@@ -283,8 +284,27 @@ class TestRunSimulation:
         report = run_simulation(cfg, untrained_codec, posture_forest)
         assert report.n_events >= 1
         assert report.overhead["N_t"] == report.n_events * 3
-        assert report.uploads == report.overhead["N_t"]
+        assert report.to_dict()["uploads"] == report.overhead["N_t"]
         assert len(report.event_lines) == report.n_events
+
+    def test_upload_counts_are_derived(self):
+        """uploads is the ledger's N_t and background_uploads the billed
+        uploads outside the activity table; neither is stored."""
+        report = SimReport(
+            overhead=overhead.report(10, n_t=4, L=1), posture={},
+            activity_table={"eating": {"kitchen": {"count": 3, "correct": 2}}},
+            clamped_samples=0, event_lines=[], skipped_uploads=0)
+        assert (report.uploads, report.background_uploads) == (4, 1)
+        assert report.activity_accuracy == 2 / 3
+        with pytest.raises(AttributeError):
+            report.uploads = 5
+        with pytest.raises(TypeError):
+            SimReport({}, {}, {}, 0, [], 0, uploads=4)
+
+    def test_derived_seeds_do_not_alias(self):
+        # seeds were once masked to 32 bits, so 2**32 drew seed 0's noise
+        assert _derived_seed(2**32, 1) != _derived_seed(0, 1)
+        assert _derived_seed(2**32 - 1, 1) != _derived_seed(2**64 - 1, 1)
 
     def test_deterministic_reports(self, posture_forest, untrained_codec):
         cfg = small_config()
@@ -331,7 +351,6 @@ class TestRunSimulation:
         report = run_simulation(cfg, untrained_codec, posture_forest)
         assert report.n_events >= 1
         assert report.skipped_uploads > 0
-        assert report.uploads == report.overhead["N_t"]
         assert (report.overhead["N_t"] + report.skipped_uploads
                 == report.n_events * 3 * 8)
         assert report.to_dict()["skipped_uploads"] == report.skipped_uploads
@@ -364,7 +383,7 @@ class TestRunSimulation:
             report = run_simulation(cfg, CodecModel(seed=0), posture_forest)
         assert report.n_events == 21
         assert report.overhead["N_f"] == 411
-        assert report.overhead["N_t"] == report.uploads == 936
+        assert report.overhead["N_t"] == 936
         assert report.skipped_uploads == 72
         assert 936 + 72 == 21 * 3 * 16
 
@@ -382,6 +401,9 @@ INVALID_CONFIG_LINES = [
     ("ack_targets = ,", "ack_targets names no room"),
     ("ack_targets = garage", "unknown room 'garage'"),
     ("ack_targets = kitchen, garage", "unknown room 'garage'"),
+    # each segment was once uploaded and billed twice
+    ("ack_targets = bedroom, bedroom", "room 'bedroom' is named twice"),
+    ("seed = -1", "seed must be >= 0, got -1"),
     ("settle_windows = -1", "settle_windows"),
     ("accel_noise_g = -0.05", "accel_noise_g"),
     ("pixel_noise = -0.005", "pixel_noise"),
@@ -429,7 +451,8 @@ class TestConfig:
             parse_config_text("# ok\nseed = banana")
 
     def test_broadcast_default(self):
-        assert SimConfig().parse_targets() is None
+        assert SimConfig().parse_targets() == ROOMS
+        assert SimConfig(ack_targets=" Broadcast ").parse_targets() == ROOMS
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -159,6 +159,25 @@ class TestStepTimelineOracle:
                         == timeline_frame(cam, index).tobytes())
 
 
+class TestSeeds:
+    """Every seed >= 0 keys its own streams; a negative one is refused."""
+
+    def test_seed_past_32_bits_is_its_own_stream(self):
+        # seeds were once masked to 32 bits, so 2**32 drew seed 0's trace
+        trace = {seed: gen_accel_trace(demo_scenario(seed=seed, dwell_s=4))[0]
+                 for seed in (0, 2**32)}
+        assert trace[0].tobytes() != trace[2**32].tobytes()
+
+    @pytest.mark.parametrize("key", [(-1,), (3, -2**32)])
+    def test_negative_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {min(key)}"):
+            _rng(*key)
+
+    def test_negative_scenario_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            demo_scenario(seed=-1)
+
+
 class TestAccelGenerator:
     def test_zero_noise_u_equals_configured_mean(self):
         for posture in Posture:

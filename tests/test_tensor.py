@@ -725,3 +725,14 @@ class TestGradCheck:
         net, x, one_hot = self._tiny_net(2)
         with pytest.raises(ValueError, match="finite"):
             grad_check(net, x, one_hot, epsilon=epsilon)
+
+    def test_overflowing_step_rejected_and_parameters_restored(self):
+        """A step whose perturbed loss is not finite is refused, with no
+        numpy warning (the suite makes them errors), and the perturbed
+        parameter gets its value back."""
+        net, x, one_hot = self._tiny_net(2)
+        before = [p.copy() for p in net.params()]
+        with pytest.raises(ValueError, match="loss is not finite"):
+            grad_check(net, x, one_hot, epsilon=1e308)
+        for p, saved in zip(net.params(), before):
+            assert p.tobytes() == saved.tobytes()

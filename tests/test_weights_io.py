@@ -213,6 +213,42 @@ class TestSemf:
     def test_dtype_validation(self, tmp_path):
         with pytest.raises(ValueError, match="uint8"):
             write_frames(tmp_path / "v.semf", np.zeros((1, 2, 2, 3)))
+        assert not (tmp_path / "v.semf").exists()
+
+    def test_streamed_frames_equal_the_array(self, tmp_path):
+        """Frames written one at a time as a generator yields them give the
+        bytes of the stacked array, which is never built."""
+        rng = np.random.default_rng(2)
+        frames = rng.integers(0, 256, (4, 3, 5, 3)).astype(np.uint8)
+        whole, streamed = tmp_path / "whole.semf", tmp_path / "streamed.semf"
+        write_frames(whole, frames)
+        write_frames(streamed, (frame for frame in frames))
+        assert streamed.read_bytes() == whole.read_bytes()
+        assert whole.read_bytes()[4:16] == struct.pack("<IIHH", 1, 4, 3, 5)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 5, 3), dtype=np.uint8),
+                                     np.zeros((2, 3, 5, 3), dtype=np.uint8),
+                                     np.zeros((2, 2, 4), dtype=np.uint8),
+                                     np.zeros((2, 2, 3), dtype=np.int16)])
+    def test_refused_frame_leaves_no_file(self, tmp_path, bad):
+        """A frame unlike the first (or not (H, W, 3) uint8) is refused
+        mid-stream, and the partly written file is removed."""
+        path = tmp_path / "v.semf"
+        path.write_bytes(b"old")
+        frames = [np.zeros((2, 2, 3), dtype=np.uint8)] * 3 + [bad]
+        with pytest.raises(ValueError, match="frame 3 is"):
+            write_frames(path, iter(frames))
+        assert not path.exists()
+
+    def test_failing_source_leaves_no_file(self, tmp_path):
+        def frames():
+            yield np.zeros((2, 2, 3), dtype=np.uint8)
+            raise RuntimeError("render failed")
+
+        path = tmp_path / "v.semf"
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_frames(path, frames())
+        assert not path.exists()
 
 
 class TestCorruptFiles:
