@@ -51,7 +51,10 @@ def quantize(values):
 
     Returns (codes, clamped_count).
     """
-    values = np.asarray(values, dtype=np.float64)
+    # clipped just past the code range first, so a huge value cannot
+    # overflow the division; it still rounds to a clamped code
+    values = np.clip(np.asarray(values, dtype=np.float64),
+                     (_CODE_MIN - 1) * QUANT_STEP, (_CODE_MAX + 1) * QUANT_STEP)
     codes = np.rint(values / QUANT_STEP)
     clamped = int(np.count_nonzero((codes < _CODE_MIN) | (codes > _CODE_MAX)))
     return np.clip(codes, _CODE_MIN, _CODE_MAX).astype(np.int64), clamped
@@ -116,9 +119,38 @@ def butterworth_lowpass_coeffs():
     return b, a
 
 
+def _run(x, z1, z2):
+    """Run the low-pass recurrence along axis 0 of x from state (z1, z2);
+    returns the outputs and the end state."""
+    b0, b1, b2 = _B
+    a1, a2 = _A[1], _A[2]
+    y = np.empty_like(x)
+    for i in range(x.shape[0]):
+        xi = x[i]
+        yi = y[i] = b0 * xi + z1
+        z1 = b1 * xi - a1 * yi + z2
+        z2 = b2 * xi - a2 * yi
+    return y, z1, z2
+
+
+def _block_design():
+    """One zero block run from the unit start states (z1, z2) = (1, 0) and
+    (0, 1): each sample's response to a block's start state, and the rows
+    of the 2x2 matrix that carries that state to the next block's."""
+    unit_y, end_z1, end_z2 = _run(np.zeros((FILTER_BLOCK, 2)),
+                                  np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return unit_y, (end_z1.tolist(), end_z2.tolist())
+
+
+# the fixed 0.3 Hz design, computed once at import
+_B, _A = butterworth_lowpass_coeffs()
+_UNIT_Y, _CARRY = _block_design()
+
+
 class GravityFilter:
     """Streaming per-axis low-pass of (n, 3) samples (transposed direct
-    form II).
+    form II). An instance holds only its stream state; the design is the
+    module's.
 
     State warm-starts at the steady-state response of the first sample, so
     constant inputs pass through with no startup transient.
@@ -134,33 +166,12 @@ class GravityFilter:
     """
 
     def __init__(self):
-        self.b, self.a = butterworth_lowpass_coeffs()
-        # one zero block from the unit start states (z1, z2) = (1, 0) and
-        # (0, 1): each sample's response to a block's start state, and the
-        # rows of the 2x2 matrix that carries it to the next block's
-        self._unit_y, end_z1, end_z2 = self._run(
-            np.zeros((FILTER_BLOCK, 2)), np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]))
-        self._carry = (end_z1.tolist(), end_z2.tolist())
         self._z1 = None      # start state of the open block, per axis
         self._z2 = None
         self._open = np.empty((0, 3))   # samples of the open block
 
-    def _run(self, x, z1, z2):
-        """Run the recurrence along axis 0 of x from state (z1, z2);
-        returns the outputs and the end state."""
-        b0, b1, b2 = self.b
-        a1, a2 = self.a[1], self.a[2]
-        y = np.empty_like(x)
-        for i in range(x.shape[0]):
-            xi = x[i]
-            yi = y[i] = b0 * xi + z1
-            z1 = b1 * xi - a1 * yi + z2
-            z2 = b2 * xi - a2 * yi
-        return y, z1, z2
-
     def _warm_start(self, x0):
-        b, a = self.b, self.a
+        b, a = _B, _A
         self._z1 = (b[1] + b[2] - a[1] - a[2]) * x0
         self._z2 = (b[2] - a[2]) * x0
 
@@ -182,10 +193,10 @@ class GravityFilter:
         samples[held:n] = chunk
         # zero-state run, step i on sample i of every block at once
         zero = np.zeros((len(blocks), 3))
-        y, end_z1, end_z2 = self._run(
+        y, end_z1, end_z2 = _run(
             np.ascontiguousarray(blocks.transpose(1, 0, 2)), zero, zero)
         # block start states, block by block on Python floats
-        (m11, m12), (m21, m22) = self._carry
+        (m11, m12), (m21, m22) = _CARRY
         start_z1 = np.empty_like(zero)
         start_z2 = np.empty_like(zero)
         z1s, z2s = self._z1.tolist(), self._z2.tolist()
@@ -200,8 +211,8 @@ class GravityFilter:
             start_z1[:, axis] = s1[:len(blocks)]
             start_z2[:, axis] = s2[:len(blocks)]
             z1s[axis], z2s[axis] = z1, z2
-        y += self._unit_y[:, None, 0:1] * start_z1
-        y += self._unit_y[:, None, 1:2] * start_z2
+        y += _UNIT_Y[:, None, 0:1] * start_z1
+        y += _UNIT_Y[:, None, 1:2] * start_z2
         self._z1, self._z2 = np.array(z1s), np.array(z2s)
         self._open = samples[n_full * FILTER_BLOCK:n].copy()
         return y.transpose(1, 0, 2).reshape(-1, 3)[held:n]

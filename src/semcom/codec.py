@@ -202,15 +202,14 @@ class CodecModel:
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.enc_conv = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
-                                       rng)
-        self.dec_conv1 = Conv3d(4, 8, (3, 3, 3), (1, 1, 1), rng)
+        self.enc_conv = ConvReLUPool3d(3, 4, (3, 5, 5), rng)
+        self.dec_conv1 = Conv3d(4, 8, rng)
         self.dec_relu1 = ReLU()
         self.dec_pool1 = MaxPool3d((2, 2, 2))
-        self.dec_conv2 = Conv3d(8, 8, (3, 3, 3), (1, 1, 1), rng)
+        self.dec_conv2 = Conv3d(8, 8, rng)
         self.dec_relu2 = ReLU()
         self.dec_pool2 = MaxPool3d((2, 2, 2))
-        self.dec_conv3 = Conv3d(8, 8, (3, 3, 3), (1, 1, 1), rng)
+        self.dec_conv3 = Conv3d(8, 8, rng)
         self.dec_relu3 = ReLU()
         self.linear = Linear(int(np.prod(DEEP_FEATURE_SHAPE)), N_ACTIVITIES, rng)
         # the tape keys activations on layer identity, so the parameter-free

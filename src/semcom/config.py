@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from .channel import _noiseless
 from .codec import parse_activity
 from .controller import AckPolicy
-from .synthdata import ROOMS, Scenario, ScenarioStep
+from .synthdata import ROOMS, RoomCamera, Scenario, ScenarioStep
 
 
 @dataclass
@@ -46,7 +46,12 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         AckPolicy(self.validation_windows, self.parse_targets(),
                   self.segments_per_ack)
-        self.parse_scenario()
+        # an ACK commands at most every segment a camera films
+        n_segments = RoomCamera(self.parse_scenario(), ROOMS[0]).n_segments
+        if self.segments_per_ack > n_segments:
+            raise ValueError(
+                f"segments_per_ack {self.segments_per_ack} exceeds the "
+                f"scenario's {n_segments} segments per camera")
 
     def parse_scenario(self):
         steps = []

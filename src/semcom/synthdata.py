@@ -64,6 +64,9 @@ POSTURE_MEAN_COSINE = {
 }
 
 WALK_SECONDS = 4
+# Longest scenario a run may simulate: one day. The accel trace alone takes
+# 1.2 KB per simulated second, so a longer one is refused at load.
+MAX_SCENARIO_S = 86_400
 FPS = int(SAMPLE_RATE_HZ)          # video frame rate matches the 50 Hz accel
 BACKGROUND_LEVEL = 0.02            # dim gray so idle frames keep nonzero power
 
@@ -122,7 +125,16 @@ class Scenario:
     pixel_noise: float = 0.005
     position_jitter: int = 4
 
+    @property
+    def seconds(self):
+        """Length of the timeline: the steps plus the walks between them."""
+        return (sum(step.duration_s for step in self.steps)
+                + WALK_SECONDS * (len(self.steps) - 1))
+
     def validate(self, min_duration_s=3):
+        """Refuse, before any array is built, a scenario no run can use.
+        Its position jitter may not exceed the frame: _blob_geometry would
+        clamp every blob past it anyway."""
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.steps:
@@ -134,6 +146,13 @@ class Scenario:
                     f"validation period ({min_duration_s}s)")
             if i > 0 and step.activity == self.steps[i - 1].activity:
                 raise ValueError(f"steps {i - 1} and {i} repeat the same activity")
+        if self.seconds > MAX_SCENARIO_S:
+            raise ValueError(f"scenario lasts {self.seconds}s, more than the "
+                             f"{MAX_SCENARIO_S}s (one day) a run may simulate")
+        frame_px = max(FRAME_HEIGHT, FRAME_WIDTH)
+        if self.position_jitter > frame_px:
+            raise ValueError(f"position_jitter {self.position_jitter} exceeds "
+                             f"the {frame_px}-px frame")
         return self
 
 

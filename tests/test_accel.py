@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
+from semcom import synthdata
 from semcom.accel import (DEGENERATE_NORM, FILTER_BLOCK, QUANT_LEVELS,
                           QUANT_STEP, SAMPLE_RATE_HZ, SYMBOLS_PER_FRAME,
-                          GravityFilter, amplitudes_to_codes,
+                          GravityFilter, Posture, amplitudes_to_codes,
                           butterworth_lowpass_coeffs, codes_to_amplitudes,
                           decode_raw, dequantize, encode_raw, gravity_feature,
                           quantize, read_trace_csv, write_trace_csv)
@@ -40,6 +41,31 @@ class TestQuantizer:
         codes, clamped = quantize([5.0, -6.0, 1.0])
         assert clamped == 2
         assert codes[0] == 2047 and codes[1] == -2048
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20))
+    def test_codes_and_count_as_the_divide_first_formula(self, values):
+        """Values whose division cannot overflow quantize as the formula
+        round(v / step), clamped, always did."""
+        raw = np.rint(np.array(values) / QUANT_STEP)
+        low, high = -QUANT_LEVELS // 2, QUANT_LEVELS // 2 - 1
+        codes, clamped = quantize(values)
+        np.testing.assert_array_equal(codes, np.clip(raw, low, high))
+        assert clamped == np.count_nonzero((raw < low) | (raw > high))
+
+    def test_huge_values_clamp_without_overflow(self):
+        """accel_noise_g = 1e308 passes load; its trace once overflowed
+        the quantizer's division (a RuntimeWarning, which the suite makes an
+        error)."""
+        codes, clamped = quantize([1e308, -1e308, np.inf, -np.inf, 1.0])
+        np.testing.assert_array_equal(codes, [2047, -2048, 2047, -2048, 512])
+        assert clamped == 4
+        scenario = synthdata.Scenario(
+            (synthdata.ScenarioStep(synthdata.Activity.SLEEPING, 6),),
+            accel_noise_g=1e308)
+        xyz, postures = synthdata.gen_accel_trace(scenario)
+        assert np.all(postures == Posture.LYING)
+        _, clamped = encode_raw(xyz)
+        assert clamped == xyz.size
 
     def test_amplitude_rounding_is_nearest(self):
         amps = codes_to_amplitudes(np.array([100, -2048, 2047]))
@@ -161,7 +187,7 @@ class TestGravityFilterDesign:
         if filt._z1 is None and chunk.shape[0] > 0:
             filt._warm_start(chunk[0])
         out = np.empty_like(chunk)
-        b, a = filt.b, filt.a
+        b, a = butterworth_lowpass_coeffs()
         z1, z2 = filt._z1, filt._z2
         for i in range(chunk.shape[0]):
             x = chunk[i]

@@ -127,8 +127,8 @@ class TestCriterion4Gradients:
         rng = np.random.default_rng(7)
         # the net of `semcom gradcheck`, built from the codec's layer types
         net = Network([
-            ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 2, 2), rng),
-            Conv3d(3, 2, (3, 3, 3), (1, 1, 1), rng),
+            ConvReLUPool3d(2, 3, (2, 2, 2), rng),
+            Conv3d(3, 2, rng),
             ReLU(),
             MaxPool3d((2, 2, 2)),
             Reshape((-1,)),

@@ -166,6 +166,15 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out == (
             "max relative gradient error: 5.537e-09\n")
 
+    @pytest.mark.parametrize("epsilon, reading", [("1", "1.829e+00"),
+                                                  ("1e10", "1.454e+00")])
+    def test_failed_check_is_one_error_line(self, capsys, epsilon, reading):
+        assert main(["gradcheck", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: max relative gradient error {reading} "
+                                "is not below 0.0001\n")
+
     def test_overflowing_step_is_one_line(self, capsys):
         # once three numpy RuntimeWarnings on stderr, then an error of 1.0
         assert main(["gradcheck", "--epsilon", "1e308"]) == 1
@@ -406,6 +415,15 @@ class TestDegenerateArguments:
         self.assert_one_line_error(capsys, "seed must be >= 0, got -1")
         assert not out.exists()
 
+    def test_gen_data_longer_than_a_day(self, tmp_path, capsys):
+        # five dwells and four 4-s walks: 5 * 17,277 + 16 = 86,401 s; once
+        # --dwell 100000000000000 died in a 25-line MemoryError traceback
+        for dwell in ("17277", "100000000000000"):
+            out = tmp_path / "data"
+            assert main(["gen-data", "--dwell", dwell, "--out", str(out)]) == 1
+            self.assert_one_line_error(capsys, "(one day) a run may simulate")
+            assert not out.exists()
+
     def test_train_codec_negative_data_seed(self, tmp_path, capsys):
         out = tmp_path / "codec.semw"
         assert main(["train-codec", "--per-class", "1", "--epochs", "1",
@@ -555,6 +573,9 @@ class TestNumericOptionsProperty:
     @given(fast_commands())
     # once three numpy RuntimeWarnings, then exit 0
     @example((["gradcheck", "--seed=7", "--epsilon=1e308"], True, None))
+    # finite steps whose check fails: once exit 1 with the reading on stdout
+    @example((["gradcheck", "--seed=7", "--epsilon=1"], True, None))
+    @example((["gradcheck", "--seed=7", "--epsilon=1e10"], True, None))
     @example((["overhead", "--json", "table.json", "--n-f=4", "--L=10",
                "--n-t=2", "--n-b=1000"], True, "table.json"))
     @example((["train-forest", "--out", "forest.semw", "--seed=3",

@@ -36,8 +36,7 @@ def with_reference_encoder(model):
     """Shallow copy of model whose encoder is the unfused Conv3d -> ReLU ->
     MaxPool3d trio carrying the same weights."""
     fused = model.enc_conv
-    conv = Conv3d(fused.in_channels, fused.out_channels, fused.kernel,
-                  fused.padding)
+    conv = Conv3d(fused.in_channels, fused.out_channels)
     conv.weights[...] = fused.weights
     conv.bias[...] = fused.bias
     reference = copy.copy(model)

@@ -215,7 +215,7 @@ import numpy as np
 from semcom import codec, synthdata
 from semcom.tensor import ConvReLUPool3d
 rng = np.random.default_rng(9)
-layer = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), rng)
+layer = ConvReLUPool3d(3, 4, (3, 5, 5), rng)
 digest = hashlib.sha256(layer.forward(rng.uniform(0.0, 1.0, (3, 16, 112, 112))).tobytes())
 segment = synthdata.make_codec_dataset(1, seed=3)[0][0]
 frame = codec.encode(codec.load_model(sys.argv[1]), segment)

@@ -3,7 +3,7 @@ no-transition degenerate case, config validation, and the blocked accel
 uplink and the active-room-only uploads against the full-compute
 per-second loop they replaced."""
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from unittest import mock
 
 import numpy as np
@@ -20,8 +20,9 @@ from semcom.accel import (SYMBOLS_PER_FRAME, VALUES_PER_FRAME, GravityFilter,
 from semcom.channel import Channel, SymbolFrame
 from semcom.cli import main as cli_main
 
-from semcom.codec import (ACTIVITY_NAMES, SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT,
-                          Activity, CodecModel, classify, decode, encode)
+from semcom.codec import (ACTIVITY_NAMES, FRAME_HEIGHT, FRAME_WIDTH,
+                          SEGMENT_FRAMES, SYMBOLS_PER_SEGMENT, Activity,
+                          CodecModel, classify, decode, encode)
 from semcom.config import SimConfig, load_config, parse_config_text
 from semcom.controller import AckPolicy, format_event
 from semcom.forest import train_forest
@@ -411,6 +412,14 @@ INVALID_CONFIG_LINES = [
     ("validation_windows = 0", "validation_windows must be >= 1"),
     ("segments_per_ack = 0", "segments_per_ack must be >= 1"),
     ("scenario = sleeping:-5,resting:5", "step 0 duration -5s"),
+    # each once loaded: the first two would exhaust memory in a run, and the
+    # third failed only at run time (low is out of bounds for int64)
+    ("scenario = sleeping:100000000000000",
+     "scenario lasts 100000000000000s, more than the 86400s"),
+    ("segments_per_ack = 1000000000000",
+     "segments_per_ack 1000000000000 exceeds the scenario's 362 segments"),
+    ("position_jitter = 10000000000000000000",
+     "position_jitter 10000000000000000000 exceeds the 112-px frame"),
 ]
 
 
@@ -458,6 +467,24 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "missing.cfg")
 
+    def test_scenario_of_one_day_loads(self):
+        """The bound counts the walks: 2 * 43,198 + 4 = 86,400 s."""
+        assert SimConfig(scenario="sleeping:43198,resting:43198") \
+            .parse_scenario().seconds == 86_400
+        with pytest.raises(ValueError, match="lasts 86402s"):
+            SimConfig(scenario="sleeping:43199,resting:43199")
+
+    def test_segments_per_ack_up_to_a_cameras_segments(self):
+        # 8 + 4 + 8 = 20 s of 50 frames: 62 whole 16-frame segments
+        SimConfig(scenario="sleeping:8,eating:8", segments_per_ack=62)
+        with pytest.raises(ValueError, match="63 exceeds the scenario's 62"):
+            SimConfig(scenario="sleeping:8,eating:8", segments_per_ack=63)
+
+    def test_position_jitter_up_to_the_frame(self):
+        SimConfig(position_jitter=112)
+        with pytest.raises(ValueError, match="113 exceeds the 112-px frame"):
+            SimConfig(position_jitter=113)
+
     def test_scenario_duration_check(self):
         with pytest.raises(ValueError, match="validation"):
             SimConfig(scenario="sleeping:2", validation_windows=3)
@@ -482,6 +509,70 @@ class TestConfig:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
+
+
+# every numeric SimConfig key, by its annotation
+NUMERIC_KEYS = {f.name: f.type for f in fields(SimConfig)
+                if f.type in ("int", "float")}
+HUGE = {"int": "1" + "0" * 400, "float": "1e308"}
+ONE_DAY_S = 86_400
+
+
+@st.composite
+def numeric_config_texts(draw):
+    """(text, durations): config text whose every numeric key and both
+    scenario durations are drawn from {0, -1, nan, +-inf, huge, valid}."""
+    default = SimConfig()
+    lines = [f"{name} = " + draw(st.sampled_from(
+                 ["0", "-1", "nan", "inf", "-inf", HUGE[kind],
+                  str(getattr(default, name))]))
+             for name, kind in NUMERIC_KEYS.items()]
+    durations = [draw(st.sampled_from(["0", "-1", "nan", "inf", "-inf",
+                                       HUGE["int"], "20"]))
+                 for _ in range(2)]
+    lines.append(f"scenario = sleeping:{durations[0]},resting:{durations[1]}")
+    return "\n".join(lines), durations
+
+
+def valid_text_but(key=None, value=None, durations=("20", "20")):
+    """numeric_config_texts' output with every draw valid but one key's."""
+    default = SimConfig()
+    lines = [f"{name} = {value if name == key else getattr(default, name)}"
+             for name in NUMERIC_KEYS]
+    lines.append(f"scenario = sleeping:{durations[0]},resting:{durations[1]}")
+    return "\n".join(lines), list(durations)
+
+
+class TestConfigBoundsProperty:
+    """Any config text either loads, within the bounds a run needs, or
+    fails with one line. Nothing here runs a simulation: a config that
+    passed load wrongly could exhaust memory in one."""
+
+    def test_draws_cover_every_numeric_key(self):
+        assert set(NUMERIC_KEYS) == {
+            "seed", "video_snr_db", "accel_snr_db", "validation_windows",
+            "segments_per_ack", "settle_windows", "accel_noise_g",
+            "pixel_noise", "position_jitter"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(numeric_config_texts())
+    # the three huge values that once loaded
+    @example(valid_text_but(durations=("20", HUGE["int"])))
+    @example(valid_text_but("segments_per_ack", HUGE["int"]))
+    @example(valid_text_but("position_jitter", HUGE["int"]))
+    def test_each_text_loads_within_bounds_or_fails_in_one_line(self, drawn):
+        text, durations = drawn
+        try:
+            cfg = parse_config_text(text)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            return
+        # arithmetic first: a camera over a longer scenario could not be built
+        seconds = sum(int(d) for d in durations) + WALK_SECONDS
+        assert seconds <= ONE_DAY_S
+        camera = RoomCamera(cfg.parse_scenario(), ROOMS[0])
+        assert cfg.segments_per_ack <= camera.n_segments
+        assert cfg.position_jitter <= max(FRAME_HEIGHT, FRAME_WIDTH)
 
 
 SNR_VALUES = st.one_of(st.integers(-5, 30).map(str), st.just("inf"))

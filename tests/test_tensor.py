@@ -11,27 +11,26 @@ from hypothesis import strategies as st
 
 from semcom import codec, tensor
 from semcom.synthdata import make_codec_dataset
-from semcom.tensor import (Conv3d, ConvReLUPool3d, Linear, MaxPool3d, Network,
-                           ReLU, Reshape, ShapeError, StateError, Tape,
-                           conv3d_output_shape, grad_check, lr_schedule,
+from semcom.tensor import (CONV_KERNEL, Conv3d, ConvReLUPool3d, Linear,
+                           MaxPool3d, Network, ReLU, Reshape, ShapeError,
+                           StateError, Tape, grad_check, lr_schedule,
                            pool3d_output_shape, sgd_step,
                            softmax_cross_entropy)
 
 
-def brute_force_conv3d(x, w, b, pad):
-    """Nested-loop cross-correlation, the independent forward oracle."""
-    C, D, H, W = x.shape
-    F, _, kd, kh, kw = w.shape
-    pd, ph, pw = pad
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    do, ho, wo = D + 2 * pd - kd + 1, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    out = np.zeros((F, do, ho, wo))
+def brute_force_conv3d(x, w, b):
+    """Nested-loop 3x3x3 cross-correlation with zero padding 1, the
+    independent forward oracle."""
+    F = w.shape[0]
+    _, D, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.zeros((F, D, H, W))
     for f in range(F):
-        for d in range(do):
-            for h in range(ho):
-                for w_ in range(wo):
+        for d in range(D):
+            for h in range(H):
+                for w_ in range(W):
                     out[f, d, h, w_] = np.sum(
-                        xp[:, d:d + kd, h:h + kh, w_:w_ + kw] * w[f]) + b[f]
+                        xp[:, d:d + 3, h:h + 3, w_:w_ + 3] * w[f]) + b[f]
     return out
 
 
@@ -60,12 +59,12 @@ def rel_err(a, b):
 
 class TestConv3dForward:
     def test_encoder_shape(self):
-        conv = Conv3d(3, 4, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(3, 4, np.random.default_rng(0))
         out = conv.forward(np.zeros((3, 16, 112, 112)))
         assert out.shape == (4, 16, 112, 112)
 
     def test_zero_weights_zero_output(self):
-        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(2, 3, np.random.default_rng(0))
         conv.weights[...] = 0.0
         conv.bias[...] = 0.0
         out = conv.forward(np.random.default_rng(1).standard_normal((2, 4, 5, 5)))
@@ -73,13 +72,13 @@ class TestConv3dForward:
 
     def test_all_ones_cube_vs_brute_force(self):
         x = np.ones((1, 2, 2, 2))
-        w = np.ones((1, 1, 3, 3, 3))
-        b = np.zeros(1)
-        conv = Conv3d(1, 1, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        w = np.ones((2, 1, 3, 3, 3))
+        b = np.zeros(2)
+        conv = Conv3d(1, 2, np.random.default_rng(0))
         conv.weights[...] = w
         conv.bias[...] = b
         out = conv.forward(x)
-        expected = brute_force_conv3d(x, w, b, (1, 1, 1))
+        expected = brute_force_conv3d(x, w, b)
         np.testing.assert_array_equal(out, expected)
         # every output corner overlaps exactly 2x2x2 ones
         assert np.all(out == 8.0)
@@ -87,14 +86,14 @@ class TestConv3dForward:
     def test_random_case_vs_brute_force(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 4, 5, 6))
-        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), rng)
+        conv = Conv3d(2, 3, rng)
         out = conv.forward(x)
-        expected = brute_force_conv3d(x, conv.weights, conv.bias, (1, 1, 1))
+        expected = brute_force_conv3d(x, conv.weights, conv.bias)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
-        conv = Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng)
+        conv = Conv3d(2, 2, rng)
         conv.bias[...] = 0.0
         x = rng.standard_normal((2, 3, 4, 4))
         y = rng.standard_normal((2, 3, 4, 4))
@@ -104,18 +103,28 @@ class TestConv3dForward:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_channel_mismatch_names_axis(self):
-        conv = Conv3d(3, 2, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="channels"):
             conv.forward(np.zeros((2, 4, 4, 4)))
 
     def test_kernel_exceeds_padded_extent(self):
-        conv = Conv3d(1, 1, (5, 3, 3), (0, 1, 1), np.random.default_rng(0))
-        with pytest.raises(ShapeError, match="depth"):
-            conv.forward(np.zeros((1, 3, 4, 4)))
+        """Only an empty axis pads to less than the kernel (2 < 3); one
+        voxel is enough."""
+        conv = Conv3d(1, 2, np.random.default_rng(0))
+        for axis, name in enumerate(("depth", "height", "width"), start=1):
+            shape = [1, 3, 4, 4]
+            shape[axis] = 0
+            with pytest.raises(ShapeError, match=f"axis '{name}' is empty"):
+                conv.forward(np.zeros(shape))
+        assert conv.forward(np.zeros((1, 1, 1, 1))).shape == (2, 1, 1, 1)
+
+    def test_one_filter_rejected(self):
+        with pytest.raises(ValueError, match="conv3d needs >= 2 output channels"):
+            Conv3d(2, 1)
 
     def test_determinism_same_seed(self):
-        c1 = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(42))
-        c2 = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(42))
+        c1 = Conv3d(2, 3, np.random.default_rng(42))
+        c2 = Conv3d(2, 3, np.random.default_rng(42))
         np.testing.assert_array_equal(c1.weights, c2.weights)
         x = np.random.default_rng(1).standard_normal((2, 3, 4, 4))
         np.testing.assert_array_equal(c1.forward(x), c2.forward(x))
@@ -123,21 +132,25 @@ class TestConv3dForward:
 
 class TestConv3dBackward:
     def test_single_output_grad_weights_is_input_patch(self):
+        """A one-voxel input has one output per filter, whose patch is the
+        zero-padded voxel."""
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 3, 3, 3))
-        conv = Conv3d(1, 1, (3, 3, 3), (0, 0, 0), rng)
+        x = rng.standard_normal((1, 1, 1, 1))
+        conv = Conv3d(1, 2, rng)
         tape = Tape()
         out = conv.forward(x, tape)
-        assert out.shape == (1, 1, 1, 1)
-        conv.backward(np.ones((1, 1, 1, 1)), tape)
+        assert out.shape == (2, 1, 1, 1)
+        conv.backward(np.ones((2, 1, 1, 1)), tape)
         grad_w, grad_b = tape.grads(conv)
-        np.testing.assert_allclose(grad_w[0, 0], x[0], atol=1e-12)
-        np.testing.assert_allclose(grad_b, [1.0])
+        patch = np.pad(x[0], 1)
+        for f in range(2):
+            np.testing.assert_array_equal(grad_w[f, 0], patch)
+        np.testing.assert_array_equal(grad_b, [1.0, 1.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3, 4, 4))
-        conv = Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng)
+        conv = Conv3d(2, 2, rng)
         target = rng.standard_normal((2, 3, 4, 4))
 
         def loss_fn():
@@ -154,7 +167,7 @@ class TestConv3dBackward:
     def test_grad_input_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 4, 4))
-        conv = Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng)
+        conv = Conv3d(2, 2, rng)
         target = rng.standard_normal((2, 3, 4, 4))
 
         def loss_fn():
@@ -168,7 +181,7 @@ class TestConv3dBackward:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(8)
-        conv = Conv3d(1, 2, (3, 3, 3), (1, 1, 1), rng)
+        conv = Conv3d(1, 2, rng)
         tape = Tape()
         out = conv.forward(rng.standard_normal((1, 3, 3, 3)), tape)
         grad_x = conv.backward(np.zeros_like(out), tape)
@@ -176,7 +189,7 @@ class TestConv3dBackward:
         assert np.all(grad_w == 0) and np.all(grad_b == 0) and np.all(grad_x == 0)
 
     def test_backward_before_forward_raises(self):
-        conv = Conv3d(1, 1, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(1, 2, np.random.default_rng(0))
         with pytest.raises(StateError):
             conv.backward(np.zeros((1, 2, 2, 2)), Tape())
 
@@ -255,8 +268,7 @@ class TestMaxPool3d:
 
 def reference_trio(fused):
     """Unfused Conv3d -> ReLU -> MaxPool3d carrying a fused layer's weights."""
-    conv = Conv3d(fused.in_channels, fused.out_channels, fused.kernel,
-                  fused.padding)
+    conv = Conv3d(fused.in_channels, fused.out_channels)
     conv.weights[...] = fused.weights
     conv.bias[...] = fused.bias
     return Network([conv, ReLU(), MaxPool3d(fused.pool_kernel)])
@@ -284,7 +296,7 @@ def per_tap_copy_correlate(self, xp, extent):
     """Conv3d._correlate as it was before the depth-slab kernel, kept
     verbatim as the bit-exact oracle (``self`` is the conv layer): each
     tap's window is copied out and multiplied over the whole extent."""
-    kd, kh, kw = self.kernel
+    kd, kh, kw = CONV_KERNEL
     do, ho, wo = extent
     out = np.zeros((self.out_channels, do, ho, wo))
     flat = out.reshape(self.out_channels, -1)
@@ -299,8 +311,7 @@ def per_tap_copy_correlate(self, xp, extent):
 
 def oracle_conv(conv, x):
     """Conv3d.forward through the per-tap-copy oracle."""
-    return per_tap_copy_correlate(
-        conv, conv._pad(x), conv3d_output_shape(x.shape[1:], conv.kernel, conv.padding))
+    return per_tap_copy_correlate(conv, conv._pad(x), x.shape[1:])
 
 
 def oracle_fused(fused, x):
@@ -312,31 +323,16 @@ def oracle_fused(fused, x):
 def random_layer(data, fused):
     """A Conv3d or ConvReLUPool3d with random shapes, weights and bias, and
     an input for it; extents may be 1 on any axis. Up to 8 input channels,
-    the most any codec conv has; the fused layer has at least 2 filters."""
+    the most any codec conv has."""
     c = data.draw(st.integers(1, 8))
-    f = data.draw(st.integers(2 if fused else 1, 4))
-    kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-    pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
+    f = data.draw(st.integers(2, 4))
     pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3)) if fused else (1,) * 3
-    # conv extents from 1 up, and at least the pool kernel for the fused layer
-    dims = tuple(data.draw(st.integers(max(1, pool[i] + kernel[i] - 1 - 2 * pad[i]), 9))
-                 for i in range(3))
+    # extents from 1 up, and at least the pool kernel for the fused layer
+    dims = tuple(data.draw(st.integers(pool[i], 9)) for i in range(3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    if fused:
-        layer = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
-    else:
-        layer = Conv3d(c, f, kernel, pad, rng)
+    layer = ConvReLUPool3d(c, f, pool, rng) if fused else Conv3d(c, f, rng)
     layer.bias[...] = rng.normal(0.0, 0.3, f)
     return layer, rng.standard_normal((c,) + dims)
-
-
-def assert_matches_oracle(got, want, out_channels):
-    """Bitwise equal; with one output channel every matmul is a gemv, whose
-    rounding moves with a column's place, so there only within ulps."""
-    if out_channels == 1:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    else:
-        assert got.tobytes() == want.tobytes()
 
 
 def forward_on_both_routes(layer, x):
@@ -365,7 +361,7 @@ class TestCorrelateOracle:
         want = oracle_conv(conv, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
             for got in forward_on_both_routes(conv, x):
-                assert_matches_oracle(got, want, conv.out_channels)
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), SLAB_BUDGETS)
@@ -374,47 +370,48 @@ class TestCorrelateOracle:
         want = oracle_fused(fused, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS", budget):
             for got in forward_on_both_routes(fused, x):
-                assert_matches_oracle(got, want, fused.out_channels)
+                assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("c, f, kernel, pad, dims, budget", [
+    @pytest.mark.parametrize("c, f, pool, dims, budget", [
         # H' = W' = 1: a one-depth-row slab would be a one-column gemv
-        (3, 4, (3, 3, 3), (1, 0, 0), (9, 3, 3), 1),
-        (2, 3, (2, 2, 2), (0, 0, 0), (8, 2, 2), 4),
-        (2, 3, (1, 2, 2), (0, 0, 0), (1, 2, 2), 1),     # a single output
-        # one output channel: every tap's matmul is a gemv (within ulps)
-        (3, 1, (3, 3, 3), (1, 1, 1), (7, 9, 11), 50),
-        (2, 1, (2, 2, 2), (0, 0, 0), (9, 2, 2), 1),
+        (3, 4, None, (9, 1, 1), 1),
+        (2, 3, None, (7, 1, 1), 4),
+        (2, 3, None, (1, 1, 1), 1),                   # a single output
         # an 18 x 130 x 130 padded grid: 16,900 columns per depth row exceed
         # the shipped budget, so each slab is one depth row
-        (2, 2, (3, 3, 3), (1, 1, 1), (16, 128, 128), None),
+        (2, 2, None, (16, 128, 128), None),
+        # the fused layer at the dgemm route's bound, in one-column slabs
+        (8, 3, (2, 3, 2), (5, 7, 8), 1),
         # past the in-place dgemm's bound, all on the numpy route: its old
         # bound, a product deeper than OpenBLAS's 384-deep panels, and the
         # first channel count past the bound
-        (64, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
-        (400, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
-        (9, 3, (2, 2, 2), (1, 1, 1), (3, 9, 40), None),
+        (64, 3, None, (3, 9, 9), None),
+        (400, 3, None, (3, 9, 9), None),
+        (9, 3, None, (3, 9, 9), None),
     ])
-    def test_edge_extents_bitwise_equal_oracle(self, c, f, kernel, pad, dims,
-                                               budget):
+    def test_edge_extents_bitwise_equal_oracle(self, c, f, pool, dims, budget):
         rng = np.random.default_rng(11)
-        conv = Conv3d(c, f, kernel, pad, rng)
-        conv.bias[...] = rng.normal(0.0, 0.3, f)
+        if pool is None:
+            layer, oracle = Conv3d(c, f, rng), oracle_conv
+        else:
+            layer, oracle = ConvReLUPool3d(c, f, pool, rng), oracle_fused
+        layer.bias[...] = rng.normal(0.0, 0.3, f)
         x = rng.standard_normal((c,) + dims)
-        want = oracle_conv(conv, x)
+        want = oracle(layer, x)
         with mock.patch.object(tensor, "_SLAB_COLUMNS",
                                budget or tensor._SLAB_COLUMNS):
-            for got in forward_on_both_routes(conv, x):
-                assert_matches_oracle(got, want, f)
+            for got in forward_on_both_routes(layer, x):
+                assert got.tobytes() == want.tobytes()
 
     def test_sixteen_channels_on_a_shallow_input_within_ulps(self):
-        """From 16 input channels, BLAS rounds the products of a (2, 2, 2)
-        kernel over a (c, 2, 3, 5) input differently for the oracle's
-        compact windows and the slab's column span, on both routes; such a
-        layer runs numpy's expression, and stays within ulps."""
+        """From 16 input channels, BLAS rounds the products of a (c, 3, 3,
+        5) input differently for the oracle's compact windows and the
+        slab's column span, on both routes; such a layer runs numpy's
+        expression, and stays within ulps."""
         rng = np.random.default_rng(11)
-        conv = Conv3d(16, 3, (2, 2, 2), (1, 1, 1), rng)
+        conv = Conv3d(16, 3, rng)
         conv.bias[...] = rng.normal(0.0, 0.3, 3)
-        x = rng.standard_normal((16, 2, 3, 5))
+        x = rng.standard_normal((16, 3, 3, 5))
         assert conv.in_channels > tensor._GEMM_MAX_CHANNELS
         want = oracle_conv(conv, x)
         for got in forward_on_both_routes(conv, x):
@@ -448,14 +445,14 @@ class TestCorrelateKernel:
 
     @pytest.mark.parametrize("extent", [(4, 3, 3), (3, 4, 3), (3, 3, 4)])
     def test_extent_past_the_padded_input_raises(self, extent):
-        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(2, 3, np.random.default_rng(0))
         xp = conv._pad(np.ones((2, 3, 3, 3)))
         conv._slab_loop(xp, (3, 3, 3))
         with pytest.raises(ShapeError, match="reads past the padded input"):
             conv._slab_loop(xp, extent)
 
     def test_channel_mismatch_raises(self):
-        conv = Conv3d(2, 3, (3, 3, 3), (1, 1, 1), np.random.default_rng(0))
+        conv = Conv3d(2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="reads past the padded input"):
             conv._slab_loop(np.ones((1, 5, 5, 5)), (3, 3, 3))
 
@@ -466,13 +463,10 @@ class TestConvReLUPool3d:
     def test_forward_equals_trio(self, data):
         c = data.draw(st.integers(1, 3))
         f = data.draw(st.integers(2, 3))
-        kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-        pad = tuple(data.draw(st.integers(0, 1)) for _ in range(3))
         pool = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-        dims = tuple(data.draw(st.integers(pool[i] + kernel[i] - 1, 8))
-                     for i in range(3))
+        dims = tuple(data.draw(st.integers(pool[i], 8)) for i in range(3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        fused = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
+        fused = ConvReLUPool3d(c, f, pool, rng)
         fused.bias[...] = rng.normal(0.0, 0.3, f)
         x = rng.standard_normal((c,) + dims)
         out = fused.forward(x)
@@ -480,23 +474,23 @@ class TestConvReLUPool3d:
         np.testing.assert_array_equal(out, ref)
         assert out.tobytes() == ref.tobytes()   # signs of zero too
 
-    @pytest.mark.parametrize("c, f, kernel, pad, pool, dims", [
+    @pytest.mark.parametrize("c, f, pool, dims", [
         # one input channel: each tap's matmul has inner dimension 1
-        (1, 2, (2, 2, 2), (0, 0, 0), (2, 2, 2), (6, 7, 8)),
+        (1, 2, (2, 2, 2), (6, 7, 8)),
         # H' = W' = 1: the whole read depth is one slab, shorter than the
         # trio's full conv depth
-        (2, 3, (2, 2, 2), (0, 0, 0), (2, 1, 1), (8, 2, 2)),
+        (2, 3, (2, 1, 1), (9, 1, 1)),
         # the pool reads one position: the matmul has one column
-        (3, 2, (2, 2, 2), (0, 0, 0), (1, 1, 1), (2, 2, 2)),
+        (3, 2, (1, 1, 1), (1, 1, 1)),
         # H' = W' = 1 with one-row pool windows: a group per window would be
         # a one-column gemv, so the whole read depth stays one slab
-        (3, 4, (2, 2, 2), (0, 0, 0), (1, 1, 1), (8, 2, 2)),
+        (3, 4, (1, 1, 1), (8, 1, 1)),
     ])
-    def test_forward_equals_trio_at_unit_matmul_dimensions(
-            self, c, f, kernel, pad, pool, dims):
+    def test_forward_equals_trio_at_unit_matmul_dimensions(self, c, f, pool,
+                                                           dims):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            fused = ConvReLUPool3d(c, f, kernel, pad, pool, rng)
+            fused = ConvReLUPool3d(c, f, pool, rng)
             fused.bias[...] = rng.normal(0.0, 0.3, f)
             x = rng.standard_normal((c,) + dims)
             ref = reference_trio(fused).forward(x)
@@ -504,7 +498,7 @@ class TestConvReLUPool3d:
 
     def test_codec_shapes_forward_equals_trio(self):
         rng = np.random.default_rng(5)
-        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5), rng)
+        fused = ConvReLUPool3d(3, 4, (3, 5, 5), rng)
         fused.bias[...] = [0.1, -0.2, 0.0, -0.05]
         x = rng.uniform(0.0, 1.0, (3, 16, 112, 112))
         out = fused.forward(x)
@@ -516,8 +510,7 @@ class TestConvReLUPool3d:
         """The codec-shaped forward streams pool depth windows: its peak is
         the 5.6 MB padded input plus one window's rows, not the 5.8 MB
         (4, 15, 110, 110) conv output and its 5.8 MB flat window copy."""
-        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
-                               np.random.default_rng(0))
+        fused = ConvReLUPool3d(3, 4, (3, 5, 5), np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(0.0, 1.0, (3, 16, 112, 112))
         tracemalloc.start()
         try:
@@ -531,14 +524,14 @@ class TestConvReLUPool3d:
 
     def test_grads_match_trio_random(self):
         rng = np.random.default_rng(21)
-        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), rng)
+        fused = ConvReLUPool3d(2, 3, (2, 3, 3), rng)
         x = rng.standard_normal((2, 6, 9, 9))
         upstream = rng.standard_normal((3, 3, 3, 3))
         assert_grads_close(*fused_and_trio_grads(fused, x, upstream))
 
     def test_grads_match_trio_dead_windows_and_ties(self):
         rng = np.random.default_rng(4)
-        fused = ConvReLUPool3d(2, 3, (3, 3, 3), (1, 1, 1), (2, 3, 3), rng)
+        fused = ConvReLUPool3d(2, 3, (2, 3, 3), rng)
         fused.weights[1] = np.abs(fused.weights[1])
         fused.bias[...] = [0.0, -50.0, 0.25]     # channel 1: every window dead
         x = rng.uniform(0.0, 1.0, (2, 6, 9, 9))
@@ -555,7 +548,7 @@ class TestConvReLUPool3d:
     def test_grad_check_tiny_network(self):
         rng = np.random.default_rng(3)
         net = Network([
-            ConvReLUPool3d(2, 2, (3, 3, 3), (1, 1, 1), (2, 2, 2), rng),
+            ConvReLUPool3d(2, 2, (2, 2, 2), rng),
             Reshape((-1,)),
             Linear(2 * 2 * 3 * 3, 3, rng),
         ])
@@ -563,8 +556,7 @@ class TestConvReLUPool3d:
         assert grad_check(net, x, np.eye(3)[1], epsilon=1e-5) < 1e-4
 
     def test_input_smaller_than_pool_window(self):
-        fused = ConvReLUPool3d(3, 4, (3, 3, 3), (1, 1, 1), (3, 5, 5),
-                               np.random.default_rng(0))
+        fused = ConvReLUPool3d(3, 4, (3, 5, 5), np.random.default_rng(0))
         with pytest.raises(ShapeError, match="axis 'depth'"):
             fused.forward(np.zeros((3, 2, 112, 112)))
         with pytest.raises(ShapeError, match="axis 'width'"):
@@ -573,8 +565,9 @@ class TestConvReLUPool3d:
             fused.forward(np.zeros((2, 16, 112, 112)))
 
     def test_one_filter_rejected(self):
+        """The fused layer keeps Conv3d's contract."""
         with pytest.raises(ValueError, match=">= 2 output channels"):
-            ConvReLUPool3d(2, 1, (3, 3, 3), (1, 1, 1), (2, 2, 2))
+            ConvReLUPool3d(2, 1, (2, 2, 2))
 
 
 class TestLinearSoftmax:
@@ -649,10 +642,13 @@ class TestSgdSchedule:
 
 
 class TestShapeAlgebra:
-    @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 3))
-    def test_conv_shape_formula(self, extent, kernel, pad):
-        out = conv3d_output_shape((extent,) * 3, (kernel,) * 3, (pad,) * 3)
-        assert out == (extent + 2 * pad - kernel + 1,) * 3
+    @settings(max_examples=25)
+    @given(st.integers(1, 20))
+    def test_conv_shape_formula(self, extent):
+        """in + 2 * padding - kernel + 1 = in: a "same" conv keeps it."""
+        conv = Conv3d(1, 2, np.random.default_rng(0))
+        out = conv.forward(np.zeros((1,) + (extent,) * 3))
+        assert out.shape == (2,) + (extent,) * 3
 
     @given(st.integers(1, 30), st.integers(1, 6))
     def test_pool_shape_formula(self, extent, kernel):
@@ -661,7 +657,7 @@ class TestShapeAlgebra:
         assert out == (len(range(0, extent - kernel + 1, kernel)),) * 3
 
     def test_encoder_composition(self):
-        conv_out = conv3d_output_shape((16, 112, 112), (3, 3, 3), (1, 1, 1))
+        conv_out = Conv3d(3, 4).forward(np.zeros((3, 16, 112, 112))).shape[1:]
         pooled = pool3d_output_shape(conv_out, (3, 5, 5))
         assert conv_out == (16, 112, 112)
         assert pooled == (5, 22, 22)
@@ -669,23 +665,20 @@ class TestShapeAlgebra:
     @settings(max_examples=25)
     @given(st.data())
     def test_forward_shape_matches_formula(self, data):
+        """A "same" conv keeps every extent, down to one."""
         c = data.draw(st.integers(1, 3))
-        f = data.draw(st.integers(1, 3))
-        dims = tuple(data.draw(st.integers(3, 8)) for _ in range(3))
-        kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-        pad = tuple(data.draw(st.integers(0, 2)) for _ in range(3))
-        if any(dims[i] + 2 * pad[i] < kernel[i] for i in range(3)):
-            return
-        conv = Conv3d(c, f, kernel, pad, np.random.default_rng(0))
+        f = data.draw(st.integers(2, 3))
+        dims = tuple(data.draw(st.integers(1, 8)) for _ in range(3))
+        conv = Conv3d(c, f, np.random.default_rng(0))
         out = conv.forward(np.zeros((c,) + dims))
-        assert out.shape == (f,) + conv3d_output_shape(dims, kernel, pad)
+        assert out.shape == (f,) + dims
 
 
 class TestGradCheck:
     def _tiny_net(self, seed):
         rng = np.random.default_rng(seed)
         net = Network([
-            Conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng),
+            Conv3d(2, 2, rng),
             ReLU(),
             MaxPool3d((2, 2, 2)),
             Reshape((-1,)),
