@@ -233,7 +233,11 @@ def render_frame(activity, frame_phase, jitter_rc, amplitude, noise_rng,
             img[r:r + height, c:c + width, ch] = amplitude * texture[ch]
     if pixel_noise > 0:
         img += noise_rng.normal(0.0, pixel_noise, img.shape)
-    return (np.clip(img, 0.0, 1.0) * 255.0).round().astype(np.uint8)
+    # quantize in place: round() at 0 decimals is rint, ties to even
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= 255.0
+    np.rint(img, out=img)
+    return img.astype(np.uint8)
 
 
 def render_clip(activity, rng):
@@ -330,7 +334,11 @@ class RoomCamera:
                             self.scenario.pixel_noise)
 
     def frames(self, start, count):
-        return np.stack([self.frame(start + i) for i in range(count)])
+        """(count, H, W, 3) uint8 frames from an absolute stream index."""
+        out = np.empty((count, FRAME_HEIGHT, FRAME_WIDTH, 3), dtype=np.uint8)
+        for i in range(count):
+            out[i] = self.frame(start + i)
+        return out
 
     @property
     def n_segments(self):

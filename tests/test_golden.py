@@ -11,6 +11,7 @@ moved and why, with the numbers before and after::
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import collections
 import functools
 import hashlib
 import json
@@ -128,16 +129,19 @@ def _simulation_internals(seed, scenario):
     u bytes and posture codes of the accel uplink, the noisy frame and
     logits of every upload from the room of its activity, in order).
 
-    Only active-room uploads are hashed: an upload is tagged by the ground
-    truth of the grid segment its camera is asked for, and the decode that
-    follows is recorded only when that room films the activity."""
+    Only active-room uploads are hashed. Each clip render is queued with
+    its camera and first frame; each decode then takes the oldest queued
+    render, on the thread that decodes, in decode order, so a render that
+    runs ahead of its decode still tags the right upload. The decode is
+    recorded only when the ground truth says that room films the activity
+    in that grid segment."""
     u, y = synthdata.make_posture_dataset(80, seed=1)
     posture_forest = forest.train_forest(u, y, seed=2)
     stream = hashlib.sha256()
     uploads = hashlib.sha256()
-    active = [False]
+    renders = collections.deque()
     posture_stream = simulate.posture_stream
-    segment_at_grid = synthdata.RoomCamera.segment_at_grid
+    frames = synthdata.RoomCamera.frames
     decode = simulate.decode
 
     def recording_stream(*args):
@@ -146,25 +150,26 @@ def _simulation_internals(seed, scenario):
         stream.update(bytes(int(p) for p in postures))
         return u, postures, clamped
 
-    def tagging_segment_at_grid(camera, grid_index):
-        active[0] = camera.activity_at_grid(grid_index) is not None
-        return segment_at_grid(camera, grid_index)
+    def queued_frames(camera, start, count):
+        renders.append((camera, start))
+        return frames(camera, start, count)
 
     def recording_decode(model, frame, tape=None):
         logits, deep = decode(model, frame, tape)
-        if active[0]:
+        camera, start = renders.popleft()
+        if camera.activity_at_grid(start // codec.SEGMENT_FRAMES) is not None:
             uploads.update(frame.symbols.tobytes())
             uploads.update(np.float64(frame.scale).tobytes())
             uploads.update(logits.tobytes())
-        active[0] = False
         return logits, deep
 
     with mock.patch.object(simulate, "posture_stream", recording_stream), \
-            mock.patch.object(synthdata.RoomCamera, "segment_at_grid",
-                              tagging_segment_at_grid), \
+            mock.patch.object(synthdata.RoomCamera, "frames",
+                              queued_frames), \
             mock.patch.object(simulate, "decode", recording_decode):
         simulate.run_simulation(SimConfig(seed=seed, scenario=scenario),
                                 codec.load_model(CHECKPOINT), posture_forest)
+    assert not renders, "a clip was rendered but never decoded"
     return stream.hexdigest(), uploads.hexdigest()
 
 

@@ -3,6 +3,8 @@ no-transition degenerate case, config validation, and the blocked accel
 uplink and the active-room-only uploads against the full-compute
 per-second loop they replaced."""
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass, fields
 from unittest import mock
 
@@ -369,14 +371,17 @@ class TestRunSimulation:
         overlap upload the same grid segments again, and each upload is
         billed. A noisy accel link here validates 21 transitions in 44 s,
         so N_t is more than twice N_f, and no N_t <= N_f check may be
-        added. No count reads a clip's class, so the video codec is
-        stubbed out: it would cost ~20 s for the 936 uploads."""
+        added. No count reads a clip's class, so the clip render and the
+        video codec are stubbed out: they would cost ~20 s for the 936
+        uploads."""
         cfg = SimConfig(seed=3, scenario="sleeping:20,resting:20",
                         validation_windows=1, segments_per_ack=16,
                         accel_snr_db=-10.0, video_snr_db=float("inf"),
                         accel_noise_g=1.0)
-        with mock.patch.object(RoomCamera, "segment_at_grid",
-                               lambda camera, grid: None), \
+        with mock.patch.object(RoomCamera, "frames",
+                               lambda camera, start, count: None), \
+                mock.patch.object(simulate.VideoSegment, "from_rgb_frames",
+                                  lambda frames: None), \
                 mock.patch.object(simulate, "encode",
                                   lambda model, segment: np.ones(1)), \
                 mock.patch.object(simulate, "decode",
@@ -629,29 +634,34 @@ def decoded_uploads(simulation, cfg, codec_model, forest):
     """Run simulation(cfg, ...) and return (its result, one record per
     decode it ran): the room and grid of the upload, whether that room
     films its own activity there by the ground truth, the noisy frame's
-    symbols and scale, and the logits."""
+    symbols and scale, and the logits. Each clip render is queued, and
+    each decode takes the oldest queued render on the decoding thread, so
+    a clip rendered one upload ahead is still matched to its own decode."""
     records = []
-    upload = []
-    segment_at_grid = RoomCamera.segment_at_grid
+    renders = deque()
+    frames = RoomCamera.frames
     original_decode = decode
 
-    def tagging_segment_at_grid(camera, grid_index):
-        upload[:] = [camera.room, grid_index,
-                     camera.activity_at_grid(grid_index) is not None]
-        return segment_at_grid(camera, grid_index)
+    def queued_frames(camera, start, count):
+        renders.append((camera, start))
+        return frames(camera, start, count)
 
     def recording_decode(model, frame, tape=None):
         logits, deep = original_decode(model, frame, tape)
-        records.append((*upload, frame.symbols.tobytes(), frame.scale,
+        camera, start = renders.popleft()
+        grid = start // SEGMENT_FRAMES
+        records.append((camera.room, grid,
+                        camera.activity_at_grid(grid) is not None,
+                        frame.symbols.tobytes(), frame.scale,
                         logits.tobytes()))
         return logits, deep
 
-    with mock.patch.object(RoomCamera, "segment_at_grid",
-                           tagging_segment_at_grid), \
+    with mock.patch.object(RoomCamera, "frames", queued_frames), \
             mock.patch.object(simulate, "decode", recording_decode), \
             mock.patch.object(sys.modules[__name__], "decode",
                               recording_decode):
         result = simulation(cfg, codec_model, forest)
+    assert not renders, "a clip was rendered but never decoded"
     return result, records
 
 
@@ -714,6 +724,101 @@ class TestActiveRoomUploads:
         assert flags[0] is False and True in flags
         assert any(record[0] == "kitchen" for record in every_upload
                    if record[2])
+
+
+class RenderFailed(Exception):
+    pass
+
+
+class TestRenderAhead:
+    """run_simulation renders each active-room clip on one worker thread,
+    one upload ahead of the encode, send and decode on the calling thread,
+    and leaves no thread behind."""
+
+    # 10 active, 32 idle and 6 skipped uploads at a finite video SNR
+    CFG = dict(scenario="sleeping:5,resting:5", segments_per_ack=8)
+
+    def watched_run(self, cfg, codec_model, forest, fail_at=None):
+        """Run the simulation with RoomCamera.frames and simulate.decode
+        wrapped; returns (report, what the wrappers saw). The render with
+        index fail_at raises RenderFailed."""
+        seen = {"rendered": [], "ahead": [], "in_flight": [],
+                "threads": set(), "decoded": 0}
+        lock = threading.Lock()
+        running = [0]
+        frames = RoomCamera.frames
+
+        def watched_frames(camera, start, count):
+            with lock:
+                seen["rendered"].append((camera.room, start // SEGMENT_FRAMES))
+                # clips rendered, this one included, that are not decoded
+                seen["ahead"].append(len(seen["rendered"]) - seen["decoded"])
+                seen["threads"].add(threading.get_ident())
+                running[0] += 1
+                seen["in_flight"].append(running[0])
+            try:
+                if len(seen["rendered"]) - 1 == fail_at:
+                    raise RenderFailed(f"render {fail_at}")
+                return frames(camera, start, count)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        def counting_decode(model, frame, tape=None):
+            out = decode(model, frame, tape)
+            with lock:
+                seen["decoded"] += 1
+            return out
+
+        with mock.patch.object(RoomCamera, "frames", watched_frames), \
+                mock.patch.object(simulate, "decode", counting_decode):
+            report = run_simulation(cfg, codec_model, forest)
+        return report, seen
+
+    def test_renders_each_active_upload_once_in_plan_order(
+            self, posture_forest, untrained_codec):
+        cfg = small_config(**self.CFG)
+        _, every_upload = decoded_uploads(per_second_simulation, cfg,
+                                          untrained_codec, posture_forest)
+        want = [(room, grid) for room, grid, active, *_ in every_upload
+                if active]
+        before = set(threading.enumerate())
+        report, seen = self.watched_run(cfg, untrained_codec, posture_forest)
+        assert set(threading.enumerate()) == before
+        # the config has uploads of all three kinds
+        assert want and report.background_uploads and report.skipped_uploads
+        assert seen["rendered"] == want
+        assert seen["decoded"] == len(want)
+        # never more than one clip rendered ahead of the one being decoded,
+        # and never two renders at once, all on one thread that is not ours
+        assert max(seen["ahead"]) <= 2
+        assert max(seen["in_flight"]) == 1
+        assert len(seen["threads"]) == 1
+        assert threading.get_ident() not in seen["threads"]
+
+    def test_report_independent_of_thread_switching(self, posture_forest,
+                                                    untrained_codec):
+        """With the interpreter switching threads every 10 us, the report
+        keeps the bytes of the sequential full-compute loop."""
+        cfg = small_config(**self.CFG)
+        _, _, want = per_second_simulation(cfg, untrained_codec,
+                                           posture_forest)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = run_simulation(cfg, untrained_codec, posture_forest)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("fail_at", [0, 4, 9])
+    def test_render_error_reaches_the_caller(self, posture_forest,
+                                             untrained_codec, fail_at):
+        before = set(threading.enumerate())
+        with pytest.raises(RenderFailed, match=f"render {fail_at}"):
+            self.watched_run(small_config(**self.CFG), untrained_codec,
+                             posture_forest, fail_at=fail_at)
+        assert set(threading.enumerate()) == before
 
 
 @st.composite
