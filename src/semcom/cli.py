@@ -240,6 +240,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
     except (ValueError, weights_io.ContainerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

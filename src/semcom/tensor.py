@@ -30,10 +30,23 @@ stride equals the kernel, and a trailing remainder shorter than the kernel
 is dropped. Every ``backward`` takes ``(upstream, tape)``, records the
 layer's parameter gradients on the tape and returns the input gradient
 (None from the fused input layer).
+
+Threads: a training pass of :class:`ConvReLUPool3d` (a forward that
+records a tape, and its backward) shares its independent work between the
+calling thread and one helper thread, which ``_split`` starts and joins
+inside the call, so no thread outlives a ``forward`` or ``backward``. Each
+thread runs the same dgemm, pool and gemv calls on the same operands as a
+single thread would and writes disjoint output slices, so the bytes do not
+depend on the split. An inference pass (``tape=None``) and every other layer
+run on the calling thread alone: the simulation already keeps the second
+core busy rendering the next clip, and splitting inference too, with
+three threads on two cores, cost the ``sim_gated`` benchmark 10-21% of its
+rate (3 pairs on 2 vCPUs) and ``sim_quiet`` 1-9% (3 pairs).
 """
 from __future__ import annotations
 
 import ctypes
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -84,6 +97,45 @@ def _load_dgemm():
 _DGEMM = _load_dgemm()
 _ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
 _ONE = ctypes.c_double(1.0)
+
+
+def _split(n, work):
+    """Run ``work(i, slot)`` for every i in range(n) on the calling thread
+    (slot 0) and one helper thread (slot 1), which take indices in order
+    from one shared counter. The helper is started and joined inside the
+    call; with n < 2 none is started. After the join, the first exception
+    raised on either thread is re-raised here, and neither thread takes an
+    index after it."""
+    if n < 2:
+        for i in range(n):
+            work(i, 0)
+        return
+    lock = threading.Lock()
+    taken = [0]
+    errors = []
+
+    def run(slot):
+        while True:
+            with lock:
+                i = taken[0]
+                if errors or i >= n:
+                    return
+                taken[0] = i + 1
+            try:
+                work(i, slot)
+            except BaseException as exc:  # re-raised on the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    try:
+        run(0)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 class ShapeError(ValueError):
@@ -370,7 +422,7 @@ class ConvReLUPool3d(Conv3d):
     a row. The pool's windows tile the conv output, so the convolution runs
     only over the extent they read: pooled * pool_kernel on each axis. It
     streams that extent in groups of whole pool depth windows: each group's
-    conv rows go through :meth:`Conv3d._slab_loop` into one reused buffer
+    conv rows go through :meth:`Conv3d._slab_loop` into a reused buffer
     and are pooled at once, so the full conv output is never built (for
     the codec, 5 groups of 3 depth rows of 4 x 110 x 110). A group holds at
     least one slab's rows, so a one-position plane (H' = W' = 1) keeps the
@@ -381,6 +433,15 @@ class ConvReLUPool3d(Conv3d):
     argmax, so the weight gradient costs one patch per pooled output
     instead of a pass over every conv output. The layer must come first in
     a network: backward returns no input gradient.
+
+    A training pass uses one helper thread per call (see ``_split``): a
+    forward that records a tape shares the pool-depth groups between the
+    calling thread and the helper, each thread convolving into its own
+    group buffer, and backward shares the per-filter patch gathers. Group
+    boundaries, slab spans and every BLAS call are those of the one-thread
+    loop, and each group or filter writes its own slice of the outputs, so
+    the bytes are too. An inference forward (``tape=None``) stays on the
+    calling thread with one group buffer.
     """
 
     def __init__(self, in_channels, out_channels, pool_kernel, rng=None):
@@ -405,18 +466,30 @@ class ConvReLUPool3d(Conv3d):
         # one slab, so with H' = W' = 1 the whole read depth stays one slab
         kd, kh, kw = self.pool_kernel
         group = -(-rows // kd) * kd
-        conv = np.empty((self.out_channels, min(group, read[0])) + read[1:])
+        starts = range(0, read[0], group)
+        # one group buffer per thread: a training pass splits the groups
+        slots = 1 if tape is None else min(2, len(starts))
+        convs = [np.empty((self.out_channels, min(group, read[0])) + read[1:])
+                 for _ in range(slots)]
         shape = (self.out_channels,) + pooled
         argmax, best, first = (np.empty(shape, np.intp), np.empty(shape),
                                np.empty(shape))
         bias = self.bias[:, None, None, None]
-        for d0 in range(0, read[0], group):
-            block = conv[:, :min(group, read[0] - d0)]
+
+        def pool_group(i, slot):
+            d0 = starts[i]
+            block = convs[slot][:, :min(group, read[0] - d0)]
             fill(d0, block)
             block += bias
             at = slice(d0 // kd, (d0 + block.shape[1]) // kd)
             argmax[:, at], best[:, at] = _pool_max(block, self.pool_kernel)
             first[:, at] = block[:, ::kd, ::kh, ::kw]
+
+        if tape is None:
+            for i in range(len(starts)):
+                pool_group(i, 0)
+        else:
+            _split(len(starts), pool_group)
         live = best > 0
         # a dead window pools ReLU zeros and keeps its first, whose sign of
         # zero follows the first conv output
@@ -447,8 +520,11 @@ class ConvReLUPool3d(Conv3d):
         pos = ((d * hp + h) * wp + w).reshape(self.out_channels, -1)
         g = (upstream * live).reshape(self.out_channels, 1, -1)
         grad_w = np.empty((self.out_channels, 1, view[0].size))
-        for f in range(self.out_channels):
+
+        def gather(f, slot):
             grad_w[f] = g[f] @ view[pos[f]].reshape(pos.shape[1], -1)
+
+        _split(self.out_channels, gather)
         tape.set_grads(self, [grad_w.reshape(self.weights.shape),
                               g.sum(axis=(1, 2))])
         return None

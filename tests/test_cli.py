@@ -330,7 +330,7 @@ class TestDegenerateArguments:
     def assert_one_line_error(capsys, fragment):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_train_codec_bad_snr(self, tmp_path, capsys, snr):
@@ -423,6 +423,19 @@ class TestDegenerateArguments:
             assert main(["gen-data", "--dwell", dwell, "--out", str(out)]) == 1
             self.assert_one_line_error(capsys, "(one day) a run may simulate")
             assert not out.exists()
+
+    def test_gen_data_onto_an_existing_file(self, tmp_path, capsys):
+        # once a FileExistsError traceback
+        out = tmp_path / "data"
+        out.write_text("")
+        assert main(["gen-data", "--out", str(out), "--dwell", "3"]) == 1
+        self.assert_one_line_error(capsys, f"File exists: {out}")
+        assert out.read_text() == ""
+
+    def test_overhead_json_onto_a_directory(self, tmp_path, capsys):
+        # once an IsADirectoryError traceback, after the table on stdout
+        assert main(["overhead", "--paper", "--json", str(tmp_path)]) == 1
+        self.assert_one_line_error(capsys, f"Is a directory: {tmp_path}")
 
     def test_train_codec_negative_data_seed(self, tmp_path, capsys):
         out = tmp_path / "codec.semw"

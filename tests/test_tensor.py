@@ -1,6 +1,9 @@
 """Tensor-kernel tests: brute-force and finite-difference oracles."""
 import contextlib
 import os
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -568,6 +571,126 @@ class TestConvReLUPool3d:
         """The fused layer keeps Conv3d's contract."""
         with pytest.raises(ValueError, match=">= 2 output channels"):
             ConvReLUPool3d(2, 1, (2, 2, 2))
+
+
+@contextlib.contextmanager
+def short_switch_interval():
+    """Switch threads every 10 us instead of every 5 ms, so the calling
+    thread and the helper interleave as finely as they can."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+def split_spy(sizes, fail=None):
+    """Patch tensor._split to record each call's n; with fail = (call,
+    index), that call's work raises RuntimeError at that index."""
+    real = tensor._split
+
+    def spy(n, work):
+        call = len(sizes)
+        sizes.append(n)
+
+        def checked(i, slot):
+            if (call, i) == fail:
+                raise RuntimeError(f"work {i} of call {call}")
+            work(i, slot)
+
+        real(n, checked)
+
+    return mock.patch.object(tensor, "_split", spy)
+
+
+def on_the_calling_thread(n, work):
+    for i in range(n):
+        work(i, 0)
+
+
+def split_layer(groups, filters, seed=0):
+    """A fused layer and input whose forward runs ``groups`` pool-depth
+    groups under a one-column slab budget (one depth row per slab, one pool
+    depth window of 2 rows per group), and an upstream gradient."""
+    rng = np.random.default_rng(seed)
+    fused = ConvReLUPool3d(3, filters, (2, 3, 3), rng)
+    fused.bias[...] = rng.normal(0.0, 0.3, filters)
+    x = rng.standard_normal((3, 2 * groups, 6, 7))
+    return fused, x, rng.standard_normal((filters, groups, 2, 2))
+
+
+class TestSplit:
+    """A training pass of the fused layer splits its pool-depth groups and
+    its per-filter gathers between the calling thread and one helper."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_index_runs_once_on_two_slots(self, n):
+        runs = []
+        before = threading.enumerate()
+        with short_switch_interval():
+            tensor._split(n, lambda i, slot: runs.append((i, slot)))
+        assert sorted(i for i, _ in runs) == list(range(n))
+        assert {slot for _, slot in runs} <= ({0} if n < 2 else {0, 1})
+        assert threading.enumerate() == before
+
+    def test_helper_error_is_raised_on_the_caller_after_the_join(self):
+        def work(i, slot):
+            if slot == 1:
+                raise RuntimeError(f"helper at {i}")
+            time.sleep(0.01)         # leaves the helper time to take an index
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="helper at"):
+            tensor._split(4, work)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("groups", [1, 2, 5])
+    @pytest.mark.parametrize("filters", [2, 3, 4])
+    def test_taped_pass_keeps_the_oracle_bytes(self, groups, filters):
+        fused, x, upstream = split_layer(groups, filters, groups * filters)
+        sizes, before = [], threading.enumerate()
+        with mock.patch.object(tensor, "_SLAB_COLUMNS", 1):
+            with short_switch_interval(), split_spy(sizes):
+                tape = Tape()
+                out = fused.forward(x, tape)
+                fused.backward(upstream, tape)
+            got = tape.grads(fused)
+            assert sizes == [groups, filters]
+            assert threading.enumerate() == before
+            assert out.tobytes() == oracle_fused(fused, x).tobytes()
+            with mock.patch.object(tensor, "_split", on_the_calling_thread):
+                tape = Tape()
+                assert fused.forward(x, tape).tobytes() == out.tobytes()
+                fused.backward(upstream, tape)
+        for g, want in zip(got, tape.grads(fused)):
+            assert g.tobytes() == want.tobytes()
+        assert_grads_close(got, fused_and_trio_grads(fused, x, upstream)[1])
+
+    @pytest.mark.parametrize("fail", [(0, 0), (0, 1), (0, 4), (1, 3)],
+                             ids=["group0", "group1", "group4", "filter3"])
+    def test_error_reaches_the_caller_and_no_thread_outlives_it(self, fail):
+        fused, x, upstream = split_layer(5, 4)
+        before = threading.enumerate()
+        with mock.patch.object(tensor, "_SLAB_COLUMNS", 1), \
+                short_switch_interval(), split_spy([], fail):
+            tape = Tape()
+            with pytest.raises(RuntimeError,
+                               match=f"work {fail[1]} of call {fail[0]}"):
+                fused.forward(x, tape)
+                fused.backward(upstream, tape)
+        assert threading.enumerate() == before
+
+    def test_inference_starts_no_thread(self):
+        fused, x, _ = split_layer(5, 4)
+        start = threading.Thread.start
+        with mock.patch.object(tensor, "_SLAB_COLUMNS", 1), \
+                mock.patch.object(threading.Thread, "start", autospec=True,
+                                  side_effect=start) as started:
+            fused.forward(x)
+            assert started.call_count == 0
+            fused.forward(x, Tape())
+            assert started.call_count == 1
 
 
 class TestLinearSoftmax:
