@@ -22,12 +22,11 @@ noise per sample per step, drawn by :func:`channel.add_noise` as in
 evaluation and the simulated links (noise referenced to the frame's
 measured power); the noise addition backpropagates as identity while the
 power normalization is differentiated exactly. In a training sample the
-fused encoder layer shares its pool-depth groups (forward) and its
-per-filter patch gathers (backward) between the calling thread and one
-helper thread that it starts and joins itself; the bytes are those of one
-thread. Encoding for evaluation and the simulation (``tape=None``) stays on
-the calling thread. Training does not run the samples of a batch on
-threads of their own: a prototype with one sample per thread raised the
+fused encoder layer splits its work with one helper thread, on the
+schedule that :mod:`semcom.tensor`'s docstring gives; the bytes are those
+of one thread. Encoding for evaluation and the simulation (``tape=None``)
+stays on the calling thread. Training does not run the samples of a batch
+on threads of their own: a prototype with one sample per thread raised the
 ``train`` benchmark's rate 43-45% with the same bytes, but its peak RSS
 rose from 95.4 to 105.7-106.6 MB (11-12%), past the benchmark's 10%
 bound, while the split within the layer costs about 5% RSS. Parameters

@@ -32,21 +32,28 @@ layer's parameter gradients on the tape and returns the input gradient
 (None from the fused input layer).
 
 Threads: a training pass of :class:`ConvReLUPool3d` (a forward that
-records a tape, and its backward) shares its independent work between the
-calling thread and one helper thread, which ``_split`` starts and joins
-inside the call, so no thread outlives a ``forward`` or ``backward``. Each
-thread runs the same dgemm, pool and gemv calls on the same operands as a
-single thread would and writes disjoint output slices, so the bytes do not
-depend on the split. An inference pass (``tape=None``) and every other layer
-run on the calling thread alone: the simulation already keeps the second
-core busy rendering the next clip, and splitting inference too, with
-three threads on two cores, cost the ``sim_gated`` benchmark 10-21% of its
-rate (3 pairs on 2 vCPUs) and ``sim_quiet`` 1-9% (3 pairs).
+records a tape, and its backward) splits its independent parts, the
+forward's pool-depth groups and the backward's per-filter patch gathers,
+on a fixed schedule (``_split``): the calling thread runs the even-numbered
+parts and one helper thread the odd ones. For the codec the caller runs 3
+of the 5 groups and 2 of the 4 filters, the helper the other 2 and 2. The
+parts of one call are of equal size, and a scheduler that handed them out
+at run time was measured to give the codec this same assignment. The
+helper is started and joined inside the call, so no thread outlives a
+``forward`` or ``backward``, and an error raised on it is raised on the
+caller. Each thread runs the same dgemm, pool and gemv calls on the same
+operands as a single thread would and writes disjoint output slices, so
+the bytes do not depend on the split. An inference pass (``tape=None``)
+and every other layer run on the calling thread alone: the simulation
+already keeps the second core busy rendering the next clip, and splitting
+inference too, with three threads on two cores, cost the ``sim_gated``
+benchmark 10-21% of its rate (3 pairs on 2 vCPUs) and ``sim_quiet`` 1-9%
+(3 pairs).
 """
 from __future__ import annotations
 
 import ctypes
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -100,42 +107,22 @@ _ONE = ctypes.c_double(1.0)
 
 
 def _split(n, work):
-    """Run ``work(i, slot)`` for every i in range(n) on the calling thread
-    (slot 0) and one helper thread (slot 1), which take indices in order
-    from one shared counter. The helper is started and joined inside the
-    call; with n < 2 none is started. After the join, the first exception
-    raised on either thread is re-raised here, and neither thread takes an
-    index after it."""
-    if n < 2:
-        for i in range(n):
-            work(i, 0)
-        return
-    lock = threading.Lock()
-    taken = [0]
-    errors = []
-
+    """Run ``work(i, slot)`` for every i in range(n) on a fixed schedule (see
+    the module docstring): the calling thread (slot 0) takes the even
+    indices and one helper thread (slot 1) the odd ones. The ``with`` block
+    joins the helper before the call returns or raises, and an exception
+    raised on the helper is then re-raised here. With n < 2 no helper is
+    started."""
     def run(slot):
-        while True:
-            with lock:
-                i = taken[0]
-                if errors or i >= n:
-                    return
-                taken[0] = i + 1
-            try:
-                work(i, slot)
-            except BaseException as exc:  # re-raised on the caller below
-                with lock:
-                    errors.append(exc)
-                return
+        for i in range(slot, n, 2):
+            work(i, slot)
 
-    helper = threading.Thread(target=run, args=(1,))
-    helper.start()
-    try:
+    if n < 2:
+        return run(0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(run, 1)
         run(0)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
+    helper.result()
 
 
 class ShapeError(ValueError):
@@ -188,6 +175,25 @@ def he_uniform(shape, fan_in, rng):
 def pool3d_output_shape(in_shape, kernel):
     """Extents of pooling windows that tile the input: floor(in / kernel)."""
     return tuple(in_shape[i] // kernel[i] for i in range(3))
+
+
+def _pool_kernel(kernel):
+    """A pool kernel as a tuple, after checking every entry is >= 1."""
+    kernel = tuple(kernel)
+    if any(k < 1 for k in kernel):
+        raise ValueError(f"pool kernel entries must be >= 1, got {kernel}")
+    return kernel
+
+
+def _pooled_shape(layer, x, kernel):
+    """pool3d_output_shape of a (C,D,H,W) input, after checking that each
+    axis holds at least one window; ``layer`` names the caller in errors."""
+    for i in range(3):
+        if x.shape[1 + i] < kernel[i]:
+            raise ShapeError(
+                f"{layer} axis '{AXIS_NAMES[1 + i]}': extent {x.shape[1 + i]} "
+                f"< pool kernel {kernel[i]}")
+    return pool3d_output_shape(x.shape[1:], kernel)
 
 
 class Conv3d:
@@ -383,9 +389,7 @@ class MaxPool3d:
     """
 
     def __init__(self, kernel):
-        self.kernel = tuple(kernel)
-        if any(k < 1 for k in self.kernel):
-            raise ValueError(f"pool kernel entries must be >= 1, got {self.kernel}")
+        self.kernel = _pool_kernel(kernel)
 
     def params(self):
         return []
@@ -393,11 +397,7 @@ class MaxPool3d:
     def forward(self, x, tape=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool3d expects a (C,D,H,W) input, got rank {x.ndim}")
-        for i in range(3):
-            if x.shape[1 + i] < self.kernel[i]:
-                raise ShapeError(
-                    f"maxpool3d axis '{AXIS_NAMES[1 + i]}': extent {x.shape[1 + i]} "
-                    f"< kernel {self.kernel[i]}")
+        _pooled_shape("maxpool3d", x, self.kernel)
         argmax, out = _pool_max(x, self.kernel)
         if tape is not None:
             tape.put(self, (argmax, x.shape))
@@ -434,31 +434,20 @@ class ConvReLUPool3d(Conv3d):
     instead of a pass over every conv output. The layer must come first in
     a network: backward returns no input gradient.
 
-    A training pass uses one helper thread per call (see ``_split``): a
-    forward that records a tape shares the pool-depth groups between the
-    calling thread and the helper, each thread convolving into its own
-    group buffer, and backward shares the per-filter patch gathers. Group
-    boundaries, slab spans and every BLAS call are those of the one-thread
-    loop, and each group or filter writes its own slice of the outputs, so
-    the bytes are too. An inference forward (``tape=None``) stays on the
+    A training pass splits its groups (forward with a tape) and its
+    per-filter patch gathers (backward) with one helper thread, on the
+    schedule the module docstring gives; each thread convolves into its
+    own group buffer. An inference forward (``tape=None``) stays on the
     calling thread with one group buffer.
     """
 
     def __init__(self, in_channels, out_channels, pool_kernel, rng=None):
         super().__init__(in_channels, out_channels, rng)
-        self.pool_kernel = tuple(pool_kernel)
-        if any(k < 1 for k in self.pool_kernel):
-            raise ValueError(
-                f"pool kernel entries must be >= 1, got {self.pool_kernel}")
+        self.pool_kernel = _pool_kernel(pool_kernel)
 
     def forward(self, x, tape=None):
         self._check_input(x)
-        for i in range(3):
-            if x.shape[1 + i] < self.pool_kernel[i]:
-                raise ShapeError(
-                    f"conv_relu_pool3d axis '{AXIS_NAMES[1 + i]}': extent "
-                    f"{x.shape[1 + i]} < pool kernel {self.pool_kernel[i]}")
-        pooled = pool3d_output_shape(x.shape[1:], self.pool_kernel)
+        pooled = _pooled_shape("conv_relu_pool3d", x, self.pool_kernel)
         read = tuple(p * k for p, k in zip(pooled, self.pool_kernel))
         xp = self._pad(x)
         rows, fill = self._slab_loop(xp, read)

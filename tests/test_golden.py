@@ -2,21 +2,25 @@
 and a gated simulation produce, so a refactor that should not move any
 output can prove that it did not.
 
-The digests in ``golden.json`` were recorded on one numpy and BLAS build.
-Another build may round differently by an ulp, so on a different stack
+The digests in ``golden.json`` were recorded on one numpy and BLAS build
+and one BLAS core. numpy's OpenBLAS picks its kernels by CPU (and
+``OPENBLAS_CORETYPE`` overrides the pick for one process), and another
+build or core may round differently by an ulp. So on a different stack
 every test here skips and its message names both the recorded and the
-running numpy and BLAS versions. Regenerate the file only for a change
-that is meant to move outputs, and say in the change log which results
-moved and why, with the numbers before and after::
+running stack. Regenerate the file only for a change that is meant to move
+outputs, and say in the change log which results moved and why, with the
+numbers before and after::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import collections
+import ctypes
 import functools
 import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from unittest import mock
@@ -38,14 +42,30 @@ SIM_SCENARIO = "sleeping:20,resting:20,dress-up:20,eating:20,calling:20"
 LONG_SIM_SCENARIO = "sleeping:300,calling:290,dress-up:300"
 
 
+def blas_core():
+    """The CPU core whose kernels OpenBLAS picked for this process, read from
+    the library whose dgemm the codec calls (tensor._load_dgemm); another
+    core's kernels may round differently with the same library."""
+    try:
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(
+            _multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def stack():
-    """numpy and BLAS versions of the running interpreter."""
+    """numpy and BLAS versions and the BLAS core of the running
+    interpreter."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except Exception:  # older numpy has no dict form of its build config
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas}
+    return {"numpy": np.__version__, "blas": blas, "core": blas_core()}
 
 
 def train_digest():
@@ -230,13 +250,21 @@ print(digest.hexdigest())
 """
 
 
-def encoder_digest(blas_threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+def run_probe(code, *args, **env):
+    """What ``code`` prints in a fresh interpreter that can import semcom
+    and this file, with ``env`` added to the environment."""
+    env = dict(os.environ, **env)
     src = os.path.join(HERE, os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", ENCODER_PROBE, CHECKPOINT],
-                          env=env, capture_output=True, text=True, check=True)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, HERE, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def encoder_digest(blas_threads):
+    return run_probe(ENCODER_PROBE, CHECKPOINT,
+                     OPENBLAS_NUM_THREADS=str(blas_threads))
 
 
 def test_encoder_bytes_independent_of_blas_threads():
@@ -246,6 +274,20 @@ def test_encoder_bytes_independent_of_blas_threads():
     one_thread = encoder_digest(1)
     assert len(one_thread) == 64
     assert encoder_digest(2) == one_thread
+
+
+def test_another_blas_core_is_another_stack():
+    """A process whose OpenBLAS runs another core's kernels reports another
+    stack, so the digests above skip there instead of failing. Prescott's
+    kernels run on any x86-64 CPU."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE=Prescott selects an x86-64 core")
+    if blas_core() == "unknown":
+        pytest.skip("this numpy's OpenBLAS does not name its core")
+    other = json.loads(run_probe(
+        "import json, test_golden; print(json.dumps(test_golden.stack()))",
+        OPENBLAS_CORETYPE="Prescott"))
+    assert other != stack()
 
 
 if __name__ == "__main__":
