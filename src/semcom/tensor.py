@@ -37,13 +37,15 @@ forward's pool-depth groups and the backward's per-filter patch gathers,
 on a fixed schedule (``_split``): the calling thread runs the even-numbered
 parts and one helper thread the odd ones. For the codec the caller runs 3
 of the 5 groups and 2 of the 4 filters, the helper the other 2 and 2. The
-parts of one call are of equal size, and a scheduler that handed them out
-at run time was measured to give the codec this same assignment. The
-helper is started and joined inside the call, so no thread outlives a
-``forward`` or ``backward``, and an error raised on it is raised on the
-caller. Each thread runs the same dgemm, pool and gemv calls on the same
-operands as a single thread would and writes disjoint output slices, so
-the bytes do not depend on the split. An inference pass (``tape=None``)
+parts of one call are of equal size, so the schedule is fixed rather than
+decided at run time: a scheduler that handed each part to whichever thread
+was free read within the ``train`` benchmark's run-to-run spread (medians
+1.8% apart over 8 pairs on 2 vCPUs). The helper is started and joined
+inside the call, so no thread outlives a ``forward`` or ``backward``, and
+an error raised on it is raised on the caller. Each thread runs the same
+dgemm, pool and gemv calls on the same operands as a single thread would
+and writes disjoint output slices, so the bytes do not depend on the
+split. An inference pass (``tape=None``)
 and every other layer run on the calling thread alone: the simulation
 already keeps the second core busy rendering the next clip, and splitting
 inference too, with three threads on two cores, cost the ``sim_gated``
